@@ -88,3 +88,27 @@ let qc = Query.Parse.cq_of_string "q(x) <- C(x)"
 let thumb = Query.Parse.cq_of_string "q(x) <- Thumb(x)"
 
 let time f = Obs.Clock.timed f
+
+(* Certainty and consistency through the engine's deepening front, on
+   cold caches: each call first clears the session LRU and the grounding
+   memo, so a timed call pays one full grounding per bound visited. *)
+let cold_deepen ~max_extra o d step =
+  Omq.clear_caches ();
+  Reasoner.Engine.deepen ~max_extra (fun k ->
+      step (Reasoner.Engine.session ~extra:k o d))
+
+let certain_ucq ~max_extra o d q tuple =
+  Option.is_none
+    (cold_deepen ~max_extra o d (fun eng ->
+         Reasoner.Engine.countermodel eng q tuple))
+
+let certain_cq ~max_extra o d q tuple =
+  certain_ucq ~max_extra o d (Query.Ucq.of_cq q) tuple
+
+let certain_disjunction ~max_extra o d pointed =
+  Option.is_none
+    (cold_deepen ~max_extra o d (fun eng ->
+         Reasoner.Engine.countermodel_disjunction eng pointed))
+
+let is_consistent ~max_extra o d =
+  Option.is_some (cold_deepen ~max_extra o d Reasoner.Engine.find_model)

@@ -46,9 +46,9 @@ let hand_table () =
   Fmt.pr "%-28s %-22s %-18s %-16s@." "ontology" "thumb disj. certain" "disjunct certain" "materializable";
   List.iter
     (fun (name, o) ->
-      let disj = Reasoner.Bounded.certain_disjunction ~max_extra:1 o hand pointed in
+      let disj = certain_disjunction ~max_extra:1 o hand pointed in
       let single =
-        Reasoner.Bounded.certain_cq ~max_extra:1 o hand thumb [ e "h0_f0" ]
+        certain_cq ~max_extra:1 o hand thumb [ e "h0_f0" ]
       in
       let mat =
         Material.Materializability.materializable_on ~max_model_extra:1 ~max_extra:1 o hand
@@ -65,7 +65,7 @@ let hand_table () =
       let pointed =
         List.init 5 (fun f -> (thumb, [ e (Printf.sprintf "h0_f%d" f) ]))
       in
-      let t o = snd (time (fun () -> Reasoner.Bounded.certain_disjunction ~max_extra:1 o d pointed)) in
+      let t o = snd (time (fun () -> certain_disjunction ~max_extra:1 o d pointed)) in
       Fmt.pr "%-8d %-14.4f %-14.4f %-14.4f@." n (t o1) (t o2) (t o_union))
     [ 1; 2 ]
 
@@ -90,11 +90,11 @@ let example1_table () =
   let qe = Query.Parse.cq_of_string "q <- E(x)" in
   let d = Structure.Parse.instance_of_string "F(a)" in
   Fmt.pr "OUCQ/CQ on {F(a)}: A|B|E certain: %b, each disjunct: %b %b %b (paper: true, false x3)@."
-    (Reasoner.Bounded.certain_ucq ~max_extra:1 o_ucq_cq d
+    (certain_ucq ~max_extra:1 o_ucq_cq d
        (Query.Ucq.make [ qa; qb; qe ]) [])
-    (Reasoner.Bounded.certain_cq ~max_extra:1 o_ucq_cq d qa [])
-    (Reasoner.Bounded.certain_cq ~max_extra:1 o_ucq_cq d qb [])
-    (Reasoner.Bounded.certain_cq ~max_extra:1 o_ucq_cq d qe [])
+    (certain_cq ~max_extra:1 o_ucq_cq d qa [])
+    (certain_cq ~max_extra:1 o_ucq_cq d qb [])
+    (certain_cq ~max_extra:1 o_ucq_cq d qe [])
 
 let engine_table () =
   section "Incremental engine: ground once, solve many";
@@ -139,7 +139,7 @@ let engine_table () =
       let seed_answers, t_seed =
         best (fun () ->
             List.filter
-              (fun tup -> Reasoner.Bounded.certain_cq ~max_extra o_horn d q2 tup)
+              (fun tup -> certain_cq ~max_extra o_horn d q2 tup)
               candidates)
       in
       let omq = Omq.of_cq o_horn q2 in
@@ -762,7 +762,7 @@ let thm5_table () =
         time (fun () -> Rewriting.Typeprog.entails ~extra:2 o_horn qc d [ e "n0" ])
       in
       let r2, t2 =
-        time (fun () -> Reasoner.Bounded.certain_cq ~max_extra:2 o_horn d qc [ e "n0" ])
+        time (fun () -> certain_cq ~max_extra:2 o_horn d qc [ e "n0" ])
       in
       Fmt.pr "%-8d %-10b %-10b %-12.3f %-12.3f %s@." n r1 r2 t1 t2
         (if Bool.equal r1 r2 then "(agrees)" else "(MISMATCH)"))
@@ -779,7 +779,7 @@ let thm8_table () =
       let g = random_graph ~rng ~n ~p:0.35 in
       let direct = Csp.Solve.solvable template g in
       let lifted = Csp.Encode.lift_instance template g in
-      let consistent = Reasoner.Bounded.is_consistent ~max_extra:2 o lifted in
+      let consistent = is_consistent ~max_extra:2 o lifted in
       Fmt.pr "%-6d %-6d %-12b %-12b %-12b@." k n direct consistent
         (Bool.equal direct consistent))
     [ (2, 4); (2, 6); (3, 4); (3, 6) ]
@@ -798,7 +798,7 @@ let thm10_table () =
     (fun (name, d) ->
       Fmt.pr "%-14s %-10b %-20b@." name
         (Tm.Gridenc.grid_holds p d corner)
-        (Reasoner.Bounded.certain_disjunction ~max_extra:0 o d
+        (certain_disjunction ~max_extra:0 o d
            [ (qb1, [ corner ]); (qb2, [ corner ]) ]))
     [ ("proper grid", proper); ("broken grid", broken) ];
   Fmt.pr "unsolvable problem admits a tiling: %b (paper: false)@."
@@ -906,16 +906,16 @@ let tests =
         Bioportal.Analyze.tabulate
           (List.map Bioportal.Analyze.analyze (Lazy.force corpus20))));
     Test.make ~name:"hand_finger" (Staged.stage (fun () ->
-        Reasoner.Bounded.certain_disjunction ~max_extra:1 o_union hand pointed));
+        certain_disjunction ~max_extra:1 o_union hand pointed));
     Test.make ~name:"example1_limits" (Staged.stage (fun () ->
         Material.Materializability.materializable_on ~max_model_extra:1 o_mat_ptime
           (Structure.Parse.instance_of_string "D(c)")));
     Test.make ~name:"thm5_rewriting" (Staged.stage (fun () ->
         Rewriting.Typeprog.entails ~extra:1 o_horn qc chain3 [ e "n0" ]));
     Test.make ~name:"thm8_csp" (Staged.stage (fun () ->
-        Reasoner.Bounded.is_consistent ~max_extra:1 o_k2 g6l));
+        is_consistent ~max_extra:1 o_k2 g6l));
     Test.make ~name:"thm10_tiling" (Staged.stage (fun () ->
-        Reasoner.Bounded.certain_disjunction ~max_extra:0 o_p grid
+        certain_disjunction ~max_extra:0 o_p grid
           [ (qb1, [ e "g_0_0" ]); (qb2, [ e "g_0_0" ]) ]));
     Test.make ~name:"thm13_decide" (Staged.stage (fun () ->
         Classify.Decide.decide ~samples:0 ~max_outdegree:2 o2));

@@ -32,7 +32,10 @@ let () =
           let direct = Csp.Solve.solvable template graph in
           let lifted = Csp.Encode.lift_instance template graph in
           let consistent =
-            Reasoner.Bounded.is_consistent ~max_extra:3 ontology lifted
+            Reasoner.Engine.deepen ~max_extra:3 (fun k ->
+                Reasoner.Engine.find_model
+                  (Reasoner.Engine.session ~extra:k ontology lifted))
+            |> Option.is_some
           in
           Fmt.pr "  %-8s  %d-colorable: %b   encoding consistent: %b   %s@."
             name k direct consistent

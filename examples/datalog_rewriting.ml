@@ -87,7 +87,7 @@ let () =
           let by_datalog = List.mem [ el ] datalog_answers in
           let by_chase = Reasoner.Chase.certain_cq chase_rules d qc [ el ] in
           let by_certain =
-            Reasoner.Bounded.certain_cq ~max_extra:2 o_horn d qc [ el ]
+            Omq.certain ~max_extra:2 (Omq.of_cq o_horn qc) d [ el ]
           in
           incr total;
           if by_datalog = by_chase && by_chase = by_certain then begin

@@ -36,11 +36,15 @@ let () =
   let pointed = List.map (fun f -> (thumb, [ Structure.Element.Const f ])) fingers in
   Fmt.pr "@.union O1 + O2 on a five-fingered hand:@.";
   Fmt.pr "  'some named finger is the thumb' certain: %b@."
-    (Reasoner.Bounded.certain_disjunction ~max_extra:1 union hand pointed);
+    (Reasoner.Engine.deepen ~max_extra:1 (fun k ->
+         Reasoner.Engine.countermodel_disjunction
+           (Reasoner.Engine.session ~extra:k union hand)
+           pointed)
+    |> Option.is_none);
   List.iter
     (fun f ->
       Fmt.pr "  'finger %s is the thumb' certain: %b@." f
-        (Reasoner.Bounded.certain_cq ~max_extra:1 union hand thumb
+        (Omq.certain ~max_extra:1 (Omq.of_cq union thumb) hand
            [ Structure.Element.Const f ]))
     fingers;
 

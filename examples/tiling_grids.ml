@@ -28,12 +28,18 @@ let () =
   let o = Dl.Translate.tbox op in
   let qb1 = Query.Parse.cq_of_string "q(x) <- B1(x)" in
   let qb2 = Query.Parse.cq_of_string "q(x) <- B2(x)" in
+  let disjunction_certain d =
+    Reasoner.Engine.deepen ~max_extra:0 (fun k ->
+        Reasoner.Engine.countermodel_disjunction
+          (Reasoner.Engine.session ~extra:k o d)
+          [ (qb1, [ corner ]); (qb2, [ corner ]) ])
+    |> Option.is_none
+  in
   Fmt.pr "@.grid(d) holds at the corner: %b@." (Tm.Gridenc.grid_holds p d corner);
   Fmt.pr "B1 or B2 certain at the corner: %b@."
-    (Reasoner.Bounded.certain_disjunction ~max_extra:0 o d
-       [ (qb1, [ corner ]); (qb2, [ corner ]) ]);
+    (disjunction_certain d);
   Fmt.pr "B1 alone certain: %b@."
-    (Reasoner.Bounded.certain_cq ~max_extra:0 o d qb1 [ corner ]);
+    (Omq.certain ~max_extra:0 (Omq.of_cq o qb1) d [ corner ]);
 
   (* on a broken grid nothing fires *)
   let broken =
@@ -42,8 +48,7 @@ let () =
   in
   Fmt.pr "@.broken grid (no initial tile): grid(d) %b, disjunction certain %b@."
     (Tm.Gridenc.grid_holds p broken corner)
-    (Reasoner.Bounded.certain_disjunction ~max_extra:0 o broken
-       [ (qb1, [ corner ]); (qb2, [ corner ]) ]);
+    (disjunction_certain broken);
 
   (* the run fitting problem (Theorem 12's base) *)
   Fmt.pr "@.run fitting (Definition 8) with the 'find an a' machine:@.";

@@ -138,7 +138,10 @@ let decide ?(budget = Reasoner.Budget.unlimited) ?(on_checked = ignore)
       candidates
   in
   let non_materializable b =
-    Reasoner.Engine.is_consistent_upto ~budget ~max_extra o b
+    Option.is_some
+      (Reasoner.Engine.deepen ~max_extra (fun k ->
+           Reasoner.Engine.find_model ~budget
+             (Reasoner.Engine.session ~budget ~extra:k o b)))
     && (not
           (Material.Materializability.materializable_on ~budget
              ~max_model_extra ~max_extra o b))

@@ -90,24 +90,22 @@ module Session = struct
       Obs.Trace.add_attr "tuple"
         (Obs.Trace.Str
            (String.concat "," (List.map Structure.Element.to_string tuple)));
-    let rec go k =
-      k > s.max_extra
-      || (Reasoner.Engine.certain_ucq ?budget (engine ?budget s k)
-            s.omq.query tuple
-         && go (k + 1))
+    let r =
+      Option.is_none
+        (Reasoner.Engine.deepen ~max_extra:s.max_extra (fun k ->
+             Reasoner.Engine.countermodel ?budget (engine ?budget s k)
+               s.omq.query tuple))
     in
-    let r = go 0 in
     if Obs.Trace.enabled () then
       Obs.Trace.add_attr "certain" (Obs.Trace.Bool r);
     r
 
   let is_consistent ?budget s =
-    let rec go k =
-      k <= s.max_extra
-      && (Reasoner.Engine.is_consistent ?budget (engine ?budget s k)
-         || go (k + 1))
-    in
-    go 0
+    Reasoner.Engine.deepen ~max_extra:s.max_extra (fun k ->
+        if Reasoner.Engine.is_consistent ?budget (engine ?budget s k) then
+          Some ()
+        else None)
+    |> Option.is_some
 
   (* Candidate tuples over the active domain, lazily. *)
   let candidates s =

@@ -26,12 +26,22 @@ let check ?budget ?(max_extra = 2) o d pointed =
     ~attrs:[ ("disjuncts", Obs.Trace.Int (List.length pointed)) ]
     "material.disjunction_check"
   @@ fun () ->
-  if not (Reasoner.Bounded.certain_disjunction ?budget ~max_extra o d pointed)
+  let certain countermodel =
+    Option.is_none
+      (Reasoner.Engine.deepen ~max_extra (fun k ->
+           countermodel (Reasoner.Engine.session ?budget ~extra:k o d)))
+  in
+  if
+    not
+      (certain (fun eng ->
+           Reasoner.Engine.countermodel_disjunction ?budget eng pointed))
   then `Disjunction_not_certain
   else
     match
       List.find_opt
-        (fun (q, t) -> Reasoner.Bounded.certain_cq ?budget ~max_extra o d q t)
+        (fun (q, t) ->
+          certain (fun eng ->
+              Reasoner.Engine.countermodel ?budget eng (Query.Ucq.of_cq q) t))
         pointed
     with
     | Some _ -> `Holds
@@ -42,7 +52,12 @@ let check ?budget ?(max_extra = 2) o d pointed =
 let find_violation ?budget ?max_extra o candidates =
   List.find_map
     (fun (d, pointed) ->
-      if not (Reasoner.Bounded.is_consistent ?budget ?max_extra o d) then None
+      let model =
+        Reasoner.Engine.deepen ?max_extra (fun k ->
+            Reasoner.Engine.find_model ?budget
+              (Reasoner.Engine.session ?budget ~extra:k o d))
+      in
+      if Option.is_none model then None
       else
         match check ?budget ?max_extra o d pointed with
         | `Fails w -> Some w

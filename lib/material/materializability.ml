@@ -75,16 +75,17 @@ let pool_certainty ?budget ?(max_extra = 2) o d pool =
       Logic.Signature.empty pool
   in
   let engines =
-    List.init (max_extra + 1) (fun k ->
+    Array.init (max_extra + 1) (fun k ->
         Reasoner.Engine.session ?budget ~extra_signature:pool_signature
           ~extra:k o d)
   in
   List.map
     (fun (q, tuple) ->
       let certain =
-        List.for_all
-          (fun eng -> Reasoner.Engine.certain_cq ?budget eng q tuple)
-          engines
+        Option.is_none
+          (Reasoner.Engine.deepen ~max_extra (fun k ->
+               Reasoner.Engine.countermodel ?budget engines.(k)
+                 (Query.Ucq.of_cq q) tuple))
       in
       (q, tuple, certain))
     pool
@@ -101,35 +102,35 @@ let is_materialization_for ?budget ?max_extra o d pool b =
   && answers_like_certainty (pool_certainty ?budget ?max_extra o d pool) b
 
 (* Search for a materialization over the bounded domain. The certain
-   answers of the pool are computed once; then a single SAT problem per
-   domain size asks for a model of O and D that satisfies exactly the
-   certain pool queries (certain ⇒ assert q, non-certain ⇒ assert ¬q).
-   [max_model_extra] bounds the materialization's fresh nulls,
-   [max_extra] the countermodel search behind the certainty labels. *)
-let find_materialization ?budget ?(max_model_extra = 2) ?(max_extra = 2) ?limit
-    ?pool o d =
+   answers of the pool are computed once; then one assumption solve per
+   domain size asks the session at that bound for a model of O and D
+   that satisfies exactly the certain pool queries (certain ⇒ assume q,
+   non-certain ⇒ assume ¬q). [max_model_extra] bounds the
+   materialization's fresh nulls, [max_extra] the countermodel search
+   behind the certainty labels. *)
+let find_materialization ?budget ?(max_model_extra = 2) ?(max_extra = 2) ?pool
+    o d =
   Obs.Trace.with_span "material.find_materialization" @@ fun () ->
-  ignore limit;
   let pool = match pool with Some p -> p | None -> default_pool o d in
   let certainty = pool_certainty ?budget ~max_extra o d pool in
-  let rec over_extras k =
-    if k > max_model_extra then None
-    else
-      match Reasoner.Bounded.pool_exact_model ?budget ~extra:k o d certainty with
-      | Some b -> Some b
-      | None -> over_extras (k + 1)
-  in
-  over_extras 0
+  Reasoner.Engine.deepen ~max_extra:max_model_extra (fun k ->
+      Reasoner.Engine.pool_exact_model ?budget
+        (Reasoner.Engine.session ?budget ~extra:k o d)
+        certainty)
 
 (* Materializable for an instance: consistent implies a materialization
    exists (within the bounds). *)
-let materializable_on ?budget ?max_model_extra ?max_extra ?limit ?pool o d =
+let materializable_on ?budget ?max_model_extra ?max_extra ?pool o d =
   Obs.Trace.with_span "material.materializable_on" @@ fun () ->
+  let model =
+    Reasoner.Engine.deepen ?max_extra (fun k ->
+        Reasoner.Engine.find_model ?budget
+          (Reasoner.Engine.session ?budget ~extra:k o d))
+  in
   let r =
-    (not (Reasoner.Engine.is_consistent_upto ?budget ?max_extra o d))
+    Option.is_none model
     || Option.is_some
-         (find_materialization ?budget ?max_model_extra ?max_extra ?limit ?pool
-            o d)
+         (find_materialization ?budget ?max_model_extra ?max_extra ?pool o d)
   in
   if Obs.Trace.enabled () then
     Obs.Trace.add_attr "materializable" (Obs.Trace.Bool r);

@@ -1,11 +1,12 @@
 (** Bounded materializability testing (Definition 2): search for a model
     of O and D whose answers to a pool of pointed queries coincide with
     the certain answers. Bounds: extra domain elements in the
-    materialization ([max_model_extra]), countermodel budget
-    ([max_extra]), model enumeration limit, and the query pool.
+    materialization ([max_model_extra]), the countermodel bound behind
+    the certainty labels ([max_extra]), and the query pool.
 
-    Certainty labels are computed on the incremental {!Reasoner.Engine}:
-    one grounding per countermodel bound shared across the whole pool. *)
+    Everything runs on the cached {!Reasoner.Engine} sessions: one
+    grounding per bound, shared by the certainty labels of the whole
+    pool and by the materialization search at that bound. *)
 
 type pointed = Query.Cq.t * Structure.Element.t list
 
@@ -31,7 +32,6 @@ val find_materialization :
   ?budget:Reasoner.Budget.t ->
   ?max_model_extra:int ->
   ?max_extra:int ->
-  ?limit:int ->
   ?pool:pointed list ->
   Logic.Ontology.t ->
   Structure.Instance.t ->
@@ -42,7 +42,6 @@ val materializable_on :
   ?budget:Reasoner.Budget.t ->
   ?max_model_extra:int ->
   ?max_extra:int ->
-  ?limit:int ->
   ?pool:pointed list ->
   Logic.Ontology.t ->
   Structure.Instance.t ->

@@ -43,11 +43,15 @@ let check ?budget ?(variant = Structure.Unravel.UGF) ?(depth = 3)
       | None -> Not_guarded "no root bag for the guarded set"
       | Some copies ->
           let tuple' = List.map (fun e -> EMap.find e copies) tuple in
-          let on_d = Reasoner.Bounded.certain_cq ?budget ~max_extra o d q tuple in
-          let on_du =
-            Reasoner.Bounded.certain_cq ?budget ~max_extra o
-              (Structure.Unravel.instance u) q tuple'
+          let certain d tuple =
+            Option.is_none
+              (Reasoner.Engine.deepen ~max_extra (fun k ->
+                   Reasoner.Engine.countermodel ?budget
+                     (Reasoner.Engine.session ?budget ~extra:k o d)
+                     (Query.Ucq.of_cq q) tuple))
           in
+          let on_d = certain d tuple in
+          let on_du = certain (Structure.Unravel.instance u) tuple' in
           if Bool.equal on_d on_du then Tolerant_on
           else Violation { on_d; on_du; depth })
 

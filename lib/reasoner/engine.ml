@@ -233,14 +233,19 @@ let formula_of_cq t cq =
       t.cq_formulas <- (cq, f) :: t.cq_formulas;
       f
 
+(* Any model of O and D over the session domain will do, so the cached
+   witness answers without a solver call. *)
 let find_model ?(budget = Budget.unlimited) t =
-  with_budget t budget (fun () ->
-      match run_solver t [] with
-      | Dpll.Unsat -> None
-      | Dpll.Sat m ->
-          let w = Ground.extract_model t.ground m in
-          t.witness <- Some w;
-          Some w)
+  match t.witness with
+  | Some _ as w -> w
+  | None ->
+      with_budget t budget (fun () ->
+          match run_solver t [] with
+          | Dpll.Unsat -> None
+          | Dpll.Sat m ->
+              let w = Ground.extract_model t.ground m in
+              t.witness <- Some w;
+              Some w)
 
 let is_consistent ?(budget = Budget.unlimited) t =
   match t.consistent with
@@ -266,15 +271,6 @@ let pointed_assumptions t pointed =
       -reified_lit ~env t (formula_of_cq t cq))
     pointed
 
-let countermodel_pointed ?(budget = Budget.unlimited) t pointed =
-  with_budget t budget (fun () ->
-      match run_solver t (pointed_assumptions t pointed) with
-      | Dpll.Unsat -> None
-      | Dpll.Sat m ->
-          let w = Ground.extract_model t.ground m in
-          t.witness <- Some w;
-          Some w)
-
 (* [w] already demonstrates O,D ⊭ ⋁ qᵢ(āᵢ): every disjunct fails on it. *)
 let witness_refutes w pointed =
   List.for_all (fun (cq, tuple) -> not (Query.Cq.holds w cq tuple)) pointed
@@ -284,31 +280,45 @@ let witness_refutes w pointed =
    (which refreshes the witness) only when the witness satisfies some
    disjunct. Over a batch of n² candidate tuples one countermodel
    typically settles nearly all non-answers. *)
-let certain_pointed ?budget t pointed =
+let countermodel_disjunction ?(budget = Budget.unlimited) t pointed =
   match t.witness with
-  | Some w when witness_refutes w pointed -> false
-  | _ -> Option.is_none (countermodel_pointed ?budget t pointed)
-
-let pointed_of name q tuple =
-  if List.length tuple <> Query.Ucq.arity q then
-    invalid_arg (Fmt.str "Engine.%s: tuple arity mismatch" name);
-  List.map (fun cq -> (cq, tuple)) (Query.Ucq.disjuncts q)
+  | Some w when witness_refutes w pointed -> Some w
+  | _ ->
+      with_budget t budget (fun () ->
+          match run_solver t (pointed_assumptions t pointed) with
+          | Dpll.Unsat -> None
+          | Dpll.Sat m ->
+              let w = Ground.extract_model t.ground m in
+              t.witness <- Some w;
+              Some w)
 
 let countermodel ?budget t q tuple =
-  countermodel_pointed ?budget t (pointed_of "countermodel" q tuple)
-
-(* Certainty at THIS session's domain bound: no countermodel with
-   exactly [extra t] fresh nulls. *)
-let certain_ucq ?budget t q tuple =
-  certain_pointed ?budget t (pointed_of "certain_ucq" q tuple)
-
-let certain_cq ?budget t q tuple = certain_ucq ?budget t (Query.Ucq.of_cq q) tuple
-
-let certain_disjunction ?budget t pointed = certain_pointed ?budget t pointed
+  if List.length tuple <> Query.Ucq.arity q then
+    invalid_arg "Engine.countermodel: tuple arity mismatch";
+  countermodel_disjunction ?budget t
+    (List.map (fun cq -> (cq, tuple)) (Query.Ucq.disjuncts q))
 
 let certain_formula ?(budget = Budget.unlimited) ?(env = SMap.empty) t f =
   with_budget t budget (fun () ->
       not (run_solver_sat t [ -reified_lit ~env t f ]))
+
+(* A model over the session domain satisfying exactly the flagged pointed
+   queries: entries (q, ā, true) assume their reified literal, entries
+   (q, ā, false) its negation. *)
+let pool_exact_model ?(budget = Budget.unlimited) t flagged =
+  with_budget t budget (fun () ->
+      let assumptions =
+        List.map
+          (fun (cq, tuple, wanted) ->
+            let l =
+              reified_lit ~env:(answer_env cq tuple) t (formula_of_cq t cq)
+            in
+            if wanted then l else -l)
+          flagged
+      in
+      match run_solver t assumptions with
+      | Dpll.Unsat -> None
+      | Dpll.Sat m -> Some (Ground.extract_model t.ground m))
 
 (* ------------------------------------------------------------------ *)
 (* Delta maintenance (dynamic engines)                                  *)
@@ -523,79 +533,28 @@ let session ?stats ?extra_signature ?budget ~extra o d =
       t
 
 (* ------------------------------------------------------------------ *)
-(* Iterative-deepening conveniences (Bounded-compatible semantics)      *)
+(* Iterative deepening                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let is_consistent_upto ?stats ?budget ?(max_extra = 2) o d =
+(* The library's one deepening loop: bounds 0..max_extra in order, the
+   first decisive ([Some]) step wins. [completed] counts the bounds
+   finished without a decision — the partial a budget trip reports. *)
+let deepen_from completed ~max_extra step =
   let rec go k =
-    k <= max_extra
-    && (is_consistent ?budget (session ?stats ?budget ~extra:k o d) || go (k + 1))
-  in
-  go 0
-
-let certain_ucq_upto ?stats ?budget ?(max_extra = 2) o d q tuple =
-  let rec go k =
-    k > max_extra
-    || (certain_ucq ?budget (session ?stats ?budget ~extra:k o d) q tuple
-       && go (k + 1))
-  in
-  go 0
-
-let certain_cq_upto ?stats ?budget ?max_extra o d q tuple =
-  certain_ucq_upto ?stats ?budget ?max_extra o d (Query.Ucq.of_cq q) tuple
-
-let certain_disjunction_upto ?stats ?budget ?(max_extra = 2) o d pointed =
-  let rec go k =
-    k > max_extra
-    || (certain_disjunction ?budget (session ?stats ?budget ~extra:k o d) pointed
-       && go (k + 1))
-  in
-  go 0
-
-(* ------------------------------------------------------------------ *)
-(* Typed-outcome entry points                                           *)
-(* ------------------------------------------------------------------ *)
-
-let try_is_consistent budget t =
-  Budget.protect budget
-    ~partial:(fun () -> ())
-    (fun () -> is_consistent ~budget t)
-
-let try_certain_ucq budget t q tuple =
-  Budget.protect budget
-    ~partial:(fun () -> ())
-    (fun () -> certain_ucq ~budget t q tuple)
-
-let try_certain_cq budget t q tuple =
-  try_certain_ucq budget t (Query.Ucq.of_cq q) tuple
-
-let try_is_consistent_upto budget ?stats ?(max_extra = 2) o d =
-  let completed = ref 0 in
-  Budget.protect budget
-    ~partial:(fun () -> !completed)
-    (fun () ->
-      let rec go k =
-        if k > max_extra then false
-        else if is_consistent ~budget (session ?stats ~budget ~extra:k o d)
-        then true
-        else begin
+    if k > max_extra then None
+    else
+      match step k with
+      | Some _ as r -> r
+      | None ->
           completed := k + 1;
           go (k + 1)
-        end
-      in
-      go 0)
+  in
+  go 0
 
-let try_certain_ucq_upto budget ?stats ?(max_extra = 2) o d q tuple =
+let deepen ?(max_extra = 2) step = deepen_from (ref 0) ~max_extra step
+
+let try_deepen budget ?(max_extra = 2) step =
   let completed = ref 0 in
   Budget.protect budget
     ~partial:(fun () -> !completed)
-    (fun () ->
-      let rec go k =
-        k > max_extra
-        || certain_ucq ~budget (session ?stats ~budget ~extra:k o d) q tuple
-           && begin
-                completed := k + 1;
-                go (k + 1)
-              end
-      in
-      go 0)
+    (fun () -> deepen_from completed ~max_extra step)

@@ -5,13 +5,15 @@
     are kept for the session's lifetime, so batches of tuple checks over
     the same (O, D) pay for one grounding.
 
-    Semantics match {!Bounded} exactly: a session at bound [extra]
-    searches countermodels over dom(D) plus [extra] labelled nulls; the
-    [_upto] helpers reproduce the iterative-deepening ceilings.
+    A session at bound [extra] searches countermodels over dom(D) plus
+    [extra] labelled nulls. Refutations are exact; a confirmation holds
+    "up to the bound". {!deepen} is the one iterative-deepening front
+    over bounds 0..[max_extra]: GF and GC2 have the finite model
+    property, so deepening converges in the limit.
 
     Every operation accepts a [?budget] (default {!Budget.unlimited}).
-    The plain forms raise {!Budget.Exhausted} on a trip; the [try_*]
-    forms return a typed {!Budget.outcome}. A trip never corrupts a
+    The plain forms raise {!Budget.Exhausted} on a trip; {!try_deepen}
+    returns a typed {!Budget.outcome} instead. A trip never corrupts a
     session: cancellation points sit where the solver's invariants hold
     and partially-emitted reifications are unreferenced definitional
     fragments, so the session keeps answering later queries exactly like
@@ -45,7 +47,8 @@ val instance : t -> Structure.Instance.t
 val extra : t -> int
 val stats : t -> Stats.t
 
-(** A model of O and D over the session domain, if any. *)
+(** A model of O and D over the session domain, if any (the session's
+    most recent model when it has one). *)
 val find_model : ?budget:Budget.t -> t -> Structure.Instance.t option
 
 (** Memoized: solved once per session (only a completed verdict is
@@ -53,7 +56,9 @@ val find_model : ?budget:Budget.t -> t -> Structure.Instance.t option
     extensions. *)
 val is_consistent : ?budget:Budget.t -> t -> bool
 
-(** A countermodel to O,D ⊨ q(ā) over the session domain, if any. *)
+(** A countermodel to O,D ⊨ q(ā) over the session domain, if any. The
+    session's most recent model is returned without a solver call when
+    it already refutes q(ā). *)
 val countermodel :
   ?budget:Budget.t ->
   t ->
@@ -61,16 +66,13 @@ val countermodel :
   Structure.Element.t list ->
   Structure.Instance.t option
 
-(** Certainty at this session's exact domain bound. *)
-val certain_ucq :
-  ?budget:Budget.t -> t -> Query.Ucq.t -> Structure.Element.t list -> bool
-
-val certain_cq :
-  ?budget:Budget.t -> t -> Query.Cq.t -> Structure.Element.t list -> bool
-
-(** O,D ⊨ q₁(ā₁) ∨ … ∨ qₙ(āₙ) at this session's bound. *)
-val certain_disjunction :
-  ?budget:Budget.t -> t -> (Query.Cq.t * Structure.Element.t list) list -> bool
+(** A countermodel to O,D ⊨ q₁(ā₁) ∨ … ∨ qₙ(āₙ) at this session's
+    bound, if any. *)
+val countermodel_disjunction :
+  ?budget:Budget.t ->
+  t ->
+  (Query.Cq.t * Structure.Element.t list) list ->
+  Structure.Instance.t option
 
 (** Certain truth of an FO(=, counting) formula under an assignment. *)
 val certain_formula :
@@ -79,6 +81,15 @@ val certain_formula :
   t ->
   Logic.Formula.t ->
   bool
+
+(** A model of O and D over the session domain satisfying exactly the
+    flagged pointed queries: [(q, ā, true)] entries hold in it,
+    [(q, ā, false)] entries fail. Backs the materializability search. *)
+val pool_exact_model :
+  ?budget:Budget.t ->
+  t ->
+  (Query.Cq.t * Structure.Element.t list * bool) list ->
+  Structure.Instance.t option
 
 (** {2 Delta maintenance}
 
@@ -137,83 +148,21 @@ val clear_cache : unit -> unit
 (** Number of currently cached sessions. *)
 val cached_sessions : unit -> int
 
-(** {2 Iterative-deepening conveniences}
+(** {2 Iterative deepening} *)
 
-    Same verdicts as the corresponding {!Bounded} entry points, but
-    every bound k in 0..max_extra runs on a (cached) session. *)
+(** [deepen ~max_extra step] runs [step k] for the bounds
+    k = 0, 1, …, [max_extra] (default 2) in order and returns the first
+    decisive ([Some]) result, or [None] when no bound decides. A step
+    usually asks a per-bound engine — a {!session}, or one the caller
+    holds — e.g. for a countermodel (certainty is [None]) or a model
+    (consistency is [Some]). *)
+val deepen : ?max_extra:int -> (int -> 'a option) -> 'a option
 
-val is_consistent_upto :
-  ?stats:Stats.t ->
-  ?budget:Budget.t ->
-  ?max_extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  bool
-
-val certain_ucq_upto :
-  ?stats:Stats.t ->
-  ?budget:Budget.t ->
-  ?max_extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  Query.Ucq.t ->
-  Structure.Element.t list ->
-  bool
-
-val certain_cq_upto :
-  ?stats:Stats.t ->
-  ?budget:Budget.t ->
-  ?max_extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  Query.Cq.t ->
-  Structure.Element.t list ->
-  bool
-
-val certain_disjunction_upto :
-  ?stats:Stats.t ->
-  ?budget:Budget.t ->
-  ?max_extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  (Query.Cq.t * Structure.Element.t list) list ->
-  bool
-
-(** {2 Typed-outcome entry points}
-
-    Session-level forms carry no meaningful partial (unit); the [_upto]
-    forms report how many deepening bounds completed before the trip. *)
-
-val try_is_consistent : Budget.t -> t -> (bool, unit) Budget.outcome
-
-val try_certain_ucq :
+(** Typed-budget form of {!deepen}. On a trip, [`Timeout k] /
+    [`Out_of_fuel k] reports that bounds 0..k-1 completed without a
+    decision. The budget governs only what the step threads it into. *)
+val try_deepen :
   Budget.t ->
-  t ->
-  Query.Ucq.t ->
-  Structure.Element.t list ->
-  (bool, unit) Budget.outcome
-
-val try_certain_cq :
-  Budget.t ->
-  t ->
-  Query.Cq.t ->
-  Structure.Element.t list ->
-  (bool, unit) Budget.outcome
-
-val try_is_consistent_upto :
-  Budget.t ->
-  ?stats:Stats.t ->
   ?max_extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  (bool, int) Budget.outcome
-
-val try_certain_ucq_upto :
-  Budget.t ->
-  ?stats:Stats.t ->
-  ?max_extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  Query.Ucq.t ->
-  Structure.Element.t list ->
-  (bool, int) Budget.outcome
+  (int -> 'a option) ->
+  ('a option, int) Budget.outcome

@@ -1,7 +1,7 @@
 (** Grounding of FO(=, counting) sentences over a fixed finite domain
     into propositional clauses (one SAT variable per possible fact,
     Tseitin auxiliaries for structure). Together with {!Dpll} this gives
-    the bounded model finder {!Bounded}.
+    the bounded model finder behind {!Engine}.
 
     The hot path is integer-only: domain elements are interned to dense
     positions, fact variables are computed as

@@ -1,8 +1,8 @@
-(* The shared grounding-problem builder: both the one-shot bounded model
-   finder (Bounded) and the incremental engine (Engine) search models of
-   (O, D) over dom(D) plus [extra] fresh labelled nulls. This module is
-   the single place that sets up that domain, the joint signature and
-   the base assertions. *)
+(* The shared grounding-problem builder: the incremental engine (Engine),
+   the model enumeration behind Material.Universal and the test suite's
+   reference oracle all search models of (O, D) over dom(D) plus [extra]
+   fresh labelled nulls. This module is the single place that sets up
+   that domain, the joint signature and the base assertions. *)
 
 let domain ~extra d =
   let nulls = Structure.Instance.fresh_nulls extra d in

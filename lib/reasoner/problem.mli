@@ -1,5 +1,5 @@
-(** The shared grounding-problem builder used by both {!Bounded} and
-    {!Engine}: models of (O, D) are sought over dom(D) plus [extra]
+(** The shared grounding-problem builder behind {!Engine} and one-shot
+    model enumeration: models of (O, D) are sought over dom(D) plus [extra]
     fresh labelled nulls, with the ontology's, the instance's and any
     extra signature's relations registered. *)
 

@@ -453,68 +453,3 @@ let entails ?budget ?extra ?limit o q d answer =
 let statistics state =
   ( Array.length state.tuples,
     Array.fold_left (fun acc s -> acc + List.length s) 0 state.sets )
-
-(* Human-readable dump of the surviving sets (debugging aid). *)
-let debug_dump state =
-  let b = Buffer.create 256 in
-  Array.iteri
-    (fun i tu ->
-      let name =
-        match tu with
-        | Pair (u, v) ->
-            Printf.sprintf "(%s,%s)" (Structure.Element.to_string u)
-              (Structure.Element.to_string v)
-        | Single a -> Structure.Element.to_string a
-      in
-      Buffer.add_string b
-        (Printf.sprintf "%s: %d types; q@x true in all: %b; q-swap true in all: %b\n"
-           name (List.length state.sets.(i))
-           (state.sets.(i) <> []
-           && List.for_all (fun (th : ty) ->
-               match tu with
-               | Pair _ -> th.(state.t.cl.q_x)
-               | Single _ -> (
-                   let rec find k = if k >= Array.length state.t.x_entries then None
-                     else if state.t.x_entries.(k) = state.t.cl.q_x then Some k else find (k+1) in
-                   match find 0 with Some k -> th.(k) | None -> false))
-             state.sets.(i))
-           (state.sets.(i) <> []
-           && List.for_all (fun (th : ty) ->
-               match tu with
-               | Pair _ -> th.(state.t.cl.entries.(state.t.cl.q_x).swap)
-               | Single _ -> false)
-             state.sets.(i))))
-    state.tuples;
-  Buffer.add_string b
-    (Printf.sprintf "binary types: %d, unary types: %d, entries: %d\n"
-       (List.length state.t.binary) (List.length state.t.unary)
-       (Array.length state.t.cl.entries));
-  Buffer.contents b
-
-(* More debugging aids. *)
-let dump_closure cl =
-  String.concat "\n"
-    (Array.to_list
-       (Array.mapi
-          (fun i (e : entry) ->
-            Printf.sprintf "%2d [%s] swap=%d  %s" i
-              (match e.fv with FX -> "x " | FY -> "y " | FXY -> "xy")
-              e.swap
-              (F.to_string e.formula))
-          cl.entries))
-
-let binary_types t = t.binary
-
-let forced_dump cl d =
-  List.map
-    (fun tu ->
-      let forced = forced_entries cl d tu in
-      Printf.sprintf "%s: %s"
-        (match tu with
-        | Pair (u, v) ->
-            Printf.sprintf "(%s,%s)" (Structure.Element.to_string u)
-              (Structure.Element.to_string v)
-        | Single a -> Structure.Element.to_string a)
-        (String.concat ","
-           (List.map (fun (i, b) -> Printf.sprintf "%d=%b" i b) forced)))
-    (tuples_of_instance d)

@@ -56,11 +56,3 @@ val entails :
 
 (** (number of guarded tuples, total surviving types). *)
 val statistics : state -> int * int
-
-(** Debugging dump of surviving sets. *)
-val debug_dump : state -> string
-
-val dump_closure : closure -> string
-val binary_types : types -> bool array list
-
-val forced_dump : closure -> Structure.Instance.t -> string list

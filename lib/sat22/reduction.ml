@@ -113,5 +113,11 @@ let unsat_iff_certain ?(max_extra = 1) o w f =
   | None -> (not (Twotwosat.satisfiable f), false)
   | Some q ->
       let d = instance w f in
-      let certain = Reasoner.Bounded.certain_ucq ~max_extra o d q [] in
+      let certain =
+        Option.is_none
+          (Reasoner.Engine.deepen ~max_extra (fun k ->
+               Reasoner.Engine.countermodel
+                 (Reasoner.Engine.session ~extra:k o d)
+                 q []))
+      in
       (not (Twotwosat.satisfiable f), certain)

@@ -79,3 +79,37 @@ let o_horn =
             ( atom "R" [ v "x"; v "y" ],
               F.Implies (atom "B" [ v "y" ], atom "C" [ v "x" ]) ) );
     ]
+
+(* ---------------------------------------------------------------- *)
+(* Certainty through Reasoner.Engine's deepening front               *)
+(* ---------------------------------------------------------------- *)
+
+module Deepen = struct
+  module E = Reasoner.Engine
+
+  (* The cached engine session at bound [k]. *)
+  let at ?budget o d k = E.session ?budget ~extra:k o d
+
+  (* O,D ⊨ q(ā) up to [max_extra] nulls: no bound yields a countermodel. *)
+  let certain_ucq ?budget ?max_extra o d q tuple =
+    Option.is_none
+      (E.deepen ?max_extra (fun k ->
+           E.countermodel ?budget (at ?budget o d k) q tuple))
+
+  let certain_cq ?budget ?max_extra o d q tuple =
+    certain_ucq ?budget ?max_extra o d (Query.Ucq.of_cq q) tuple
+
+  let certain_disjunction ?max_extra o d pointed =
+    Option.is_none
+      (E.deepen ?max_extra (fun k ->
+           E.countermodel_disjunction (at o d k) pointed))
+
+  let certain_formula ?max_extra ?env o d f =
+    Option.is_none
+      (E.deepen ?max_extra (fun k ->
+           if E.certain_formula ?env (at o d k) f then None else Some ()))
+
+  (* Consistent up to [max_extra] nulls: some bound has a model. *)
+  let is_consistent ?max_extra o d =
+    Option.is_some (E.deepen ?max_extra (fun k -> E.find_model (at o d k)))
+end

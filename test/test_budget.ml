@@ -121,34 +121,50 @@ let test_clause_cap () =
   | `Timeout _ -> Alcotest.fail "clause-cap trips are Out_of_fuel"
 
 (* --------------------------------------------------------------- *)
-(* Bounded: the typed deepening loops report completed bounds. *)
+(* Engine.try_deepen: the typed deepening front reports completed
+   bounds, and a trip leaves the cached sessions answering like the
+   oracle. *)
 
 let qa = cq ~answer:[ "x" ] [ ("A", [ v "x" ]) ]
 
 let test_bounded_try () =
   let d = inst [ ("A", [ "a" ]) ] in
-  (match Reasoner.Bounded.try_certain_cq Budget.unlimited o_disj d qa [ e "a" ] with
-  | `Ok true -> ()
+  let max_extra = 2 in
+  let certain budget =
+    Reasoner.Engine.try_deepen budget ~max_extra (fun k ->
+        Reasoner.Engine.countermodel ~budget (Deepen.at ~budget o_disj d k)
+          (Query.Ucq.of_cq qa) [ e "a" ])
+  in
+  let expected = Bounded.certain_cq ~max_extra o_disj d qa [ e "a" ] in
+  Reasoner.Engine.clear_cache ();
+  (match certain Budget.unlimited with
+  | `Ok None -> ()
   | _ -> Alcotest.fail "A(a) is certain");
-  (* sweep the bounded search too: partial payloads are completed
-     bounds, hence between 0 and max_extra+1 *)
+  (* sweep the deepening front from cold sessions: partial payloads
+     are completed bounds, hence between 0 and max_extra+1 *)
+  Reasoner.Engine.clear_cache ();
   let obs = Budget.observer () in
-  ignore (Reasoner.Bounded.try_certain_cq obs o_disj d qa [ e "a" ]);
+  ignore (certain obs);
   let n = Budget.checkpoints obs in
-  check Alcotest.bool "bounded workload passes checkpoints" true (n > 0);
+  check Alcotest.bool "deepening workload passes checkpoints" true (n > 0);
   for i = 0 to n - 1 do
-    match
-      Reasoner.Bounded.try_certain_cq (Budget.inject_after i) o_disj d qa
-        [ e "a" ]
-    with
-    | `Ok true -> ()
-    | `Ok false -> Alcotest.failf "inject %d flipped the verdict" i
+    Reasoner.Engine.clear_cache ();
+    (match certain (Budget.inject_after i) with
+    | `Ok None -> ()
+    | `Ok (Some _) -> Alcotest.failf "inject %d flipped the verdict" i
     | `Out_of_fuel k | `Timeout k ->
         check Alcotest.bool
           (Printf.sprintf "inject %d: completed bounds in range" i)
           true
-          (k >= 0 && k <= 3)
-  done
+          (k >= 0 && k <= max_extra + 1));
+    match certain Budget.unlimited with
+    | `Ok r ->
+        check Alcotest.bool
+          (Printf.sprintf "inject %d: unbudgeted rerun matches the oracle" i)
+          expected (Option.is_none r)
+    | `Out_of_fuel _ | `Timeout _ -> Alcotest.fail "unlimited budget tripped"
+  done;
+  Reasoner.Engine.clear_cache ()
 
 (* --------------------------------------------------------------- *)
 (* Chase: partial results are sound under-approximations. *)

@@ -80,7 +80,7 @@ let encoding_agrees variant d =
   let o = Csp.Encode.ontology ~variant t in
   let d' = Csp.Encode.lift_instance t d in
   let csp_yes = Csp.Solve.solvable t d in
-  let consistent = Reasoner.Bounded.is_consistent ~max_extra:3 o d' in
+  let consistent = Deepen.is_consistent ~max_extra:3 o d' in
   Bool.equal csp_yes consistent
 
 let test_encoding_correct_eq () =
@@ -101,7 +101,7 @@ let test_encoding_with_pins () =
   let bad = Csp.Precolor.pin (e "a") (e "col0") (Csp.Precolor.pin (e "b") (e "col0") d) in
   check "pinned conflict propagates" true
     (Bool.equal (Csp.Solve.solvable t bad)
-       (Reasoner.Bounded.is_consistent ~max_extra:3
+       (Deepen.is_consistent ~max_extra:3
           (Csp.Encode.ontology t)
           (Csp.Encode.lift_instance t bad)))
 

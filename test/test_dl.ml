@@ -137,8 +137,8 @@ let test_normalize () =
   check "more axioms" true (List.length t' > List.length t);
   (* conservative: consistency of instances is preserved *)
   let d = inst [ ("A", [ "a" ]) ] in
-  let c = Reasoner.Bounded.is_consistent ~max_extra:3 (Dl.Translate.tbox t) d in
-  let c' = Reasoner.Bounded.is_consistent ~max_extra:3 (Dl.Translate.tbox t') d in
+  let c = Deepen.is_consistent ~max_extra:3 (Dl.Translate.tbox t) d in
+  let c' = Deepen.is_consistent ~max_extra:3 (Dl.Translate.tbox t') d in
   check "consistency agrees" c c'
 
 let test_nnf_concept =

@@ -1,6 +1,7 @@
 (* The incremental engine (Reasoner.Engine) must be observationally
-   equivalent to the one-shot Bounded reference, and its session cache
-   and stats record must account traffic faithfully. *)
+   equivalent to the fresh-grounding reference oracle (test/bounded.ml),
+   and its session cache and stats record must account traffic
+   faithfully. *)
 
 open Helpers
 
@@ -12,9 +13,26 @@ let qa = cq ~name:"qa" ~answer:[ "x" ] [ ("A", [ v "x" ]) ]
 let qb = cq ~name:"qb" ~answer:[ "x" ] [ ("B", [ v "x" ]) ]
 let qab = ucq ~name:"qab" [ qa; qb ]
 
-(* 1. Engine and Bounded agree on consistency and certain answers for
-   random instances against a Horn and a disjunctive ontology, at every
-   deepening ceiling 0..2. *)
+(* ∃y (R(x,y) ∧ B(y)) and ¬∃≥2 y R(x,y), pointed through [env]. *)
+let formulas =
+  [
+    F.Exists ([ "y" ], F.And (atom "R" [ v "x"; v "y" ], atom "B" [ v "y" ]));
+    F.Not (F.CountGeq (2, "y", atom "R" [ v "x"; v "y" ]));
+  ]
+
+(* [b] is a model of O containing D that answers every flagged query
+   as flagged. *)
+let exact_model o d flagged b =
+  Structure.Instance.subset d b
+  && Structure.Modelcheck.is_model b (Logic.Ontology.all_sentences o)
+  && List.for_all
+       (fun (q, tuple, wanted) -> Bool.equal (Query.Cq.holds b q tuple) wanted)
+       flagged
+
+(* 1. The engine's deepening front and the oracle agree on consistency,
+   certain CQ/UCQ answers, certain disjunctions, certain formulas and
+   pool-exact models for random instances against a Horn and a
+   disjunctive ontology, at every deepening ceiling 0..2. *)
 let test_engine_vs_bounded =
   QCheck.Test.make ~name:"engine agrees with Bounded at bounds 0-2" ~count:12
     QCheck.(pair (int_bound 100000) (int_range 0 2))
@@ -25,23 +43,54 @@ let test_engine_vs_bounded =
       in
       let d = Structure.Randgen.nonempty_instance ~rng ~signature ~size:3 ~p:0.35 in
       let dom = Structure.Instance.domain_list d in
+      let flagged =
+        List.concat_map
+          (fun el ->
+            List.map (fun q -> (q, [ el ], Random.State.bool rng)) [ qa; qc ])
+          dom
+      in
       List.for_all
         (fun o ->
           Bool.equal
-            (Reasoner.Engine.is_consistent_upto ~max_extra o d)
-            (Reasoner.Bounded.is_consistent ~max_extra o d)
+            (Deepen.is_consistent ~max_extra o d)
+            (Bounded.is_consistent ~max_extra o d)
           && List.for_all
                (fun el ->
+                 let env = Logic.Names.SMap.singleton "x" el in
                  List.for_all
                    (fun q ->
                      Bool.equal
-                       (Reasoner.Engine.certain_cq_upto ~max_extra o d q [ el ])
-                       (Reasoner.Bounded.certain_cq ~max_extra o d q [ el ]))
+                       (Deepen.certain_cq ~max_extra o d q [ el ])
+                       (Bounded.certain_cq ~max_extra o d q [ el ]))
                    [ qc; qa; qb ]
                  && Bool.equal
-                      (Reasoner.Engine.certain_ucq_upto ~max_extra o d qab [ el ])
-                      (Reasoner.Bounded.certain_ucq ~max_extra o d qab [ el ]))
-               dom)
+                      (Deepen.certain_ucq ~max_extra o d qab [ el ])
+                      (Bounded.certain_ucq ~max_extra o d qab [ el ])
+                 && List.for_all
+                      (fun el' ->
+                        let pointed = [ (qa, [ el ]); (qb, [ el' ]) ] in
+                        Bool.equal
+                          (Deepen.certain_disjunction ~max_extra o d pointed)
+                          (Bounded.certain_disjunction ~max_extra o d pointed))
+                      dom
+                 && List.for_all
+                      (fun f ->
+                        Bool.equal
+                          (Deepen.certain_formula ~max_extra ~env o d f)
+                          (Bounded.certain_formula ~max_extra ~env o d f))
+                      formulas)
+               dom
+          && List.for_all
+               (fun extra ->
+                 match
+                   ( Reasoner.Engine.pool_exact_model (Deepen.at o d extra)
+                       flagged,
+                     Bounded.pool_exact_model ~extra o d flagged )
+                 with
+                 | Some b, Some _ -> exact_model o d flagged b
+                 | None, None -> true
+                 | _ -> false)
+               (List.init (max_extra + 1) Fun.id))
         [ o_horn; o_disj ])
 
 (* 2. A session grounds once and answers many: repeated tuple checks on
@@ -64,7 +113,7 @@ let test_cache_accounting () =
   check_int "two cached sessions" 2 (Reasoner.Engine.cached_sessions ());
   (* many tuple checks, still one grounding per session *)
   List.iter
-    (fun el -> ignore (Reasoner.Engine.certain_cq eng qc [ el ]))
+    (fun el -> ignore (Reasoner.Engine.countermodel eng (Query.Ucq.of_cq qc) [ el ]))
     (Structure.Instance.domain_list d);
   check_int "tuple checks reuse the grounding" 2
     (Reasoner.Stats.global ()).groundings;

@@ -145,8 +145,8 @@ let test_scott_conservative () =
   in
   List.iter
     (fun d ->
-      let c = Reasoner.Bounded.is_consistent ~max_extra:3 o d in
-      let c' = Reasoner.Bounded.is_consistent ~max_extra:3 o' d in
+      let c = Deepen.is_consistent ~max_extra:3 o d in
+      let c' = Deepen.is_consistent ~max_extra:3 o' d in
       check "consistency agrees" c c')
     instances
 

@@ -365,7 +365,7 @@ let test_certain_agreement =
                   (List.init (extra + 1) Fun.id)
               in
               let bounded =
-                Reasoner.Bounded.certain_cq ~max_extra:extra o d q [ el ]
+                Bounded.certain_cq ~max_extra:extra o d q [ el ]
               in
               let session =
                 Omq.certain ~max_extra:extra (Omq.of_cq o q) d [ el ]

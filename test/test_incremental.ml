@@ -168,7 +168,7 @@ let horn_data = inst [ ("A", [ "a" ]); ("R", [ "a"; "b" ]) ]
 
 let engine_answers eng =
   List.filter
-    (fun x -> Reasoner.Engine.certain_ucq eng qc [ x ])
+    (fun x -> Option.is_none (Reasoner.Engine.countermodel eng qc [ x ]))
     (List.map e [ "a"; "b" ])
 
 let fresh_answers d =

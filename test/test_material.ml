@@ -82,7 +82,7 @@ let test_example6_not_tolerant () =
   (* E(a) is certain on the triangle (odd cycle): any A-labelling has a
      monochromatic R-edge. *)
   check "E certain on triangle" true
-    (Reasoner.Bounded.certain_cq ~max_extra:0 example6_ontology triangle qe [ e "a" ]);
+    (Deepen.certain_cq ~max_extra:0 example6_ontology triangle qe [ e "a" ]);
   (* but not on the unravelled chain *)
   let violations =
     Material.Tolerance.check_unary ~depth:3 ~max_extra:0 example6_ontology
@@ -133,7 +133,7 @@ let test_counting_needs_ugc2_unravelling () =
   in
   let qa = cq ~answer:[ "x" ] [ ("A", [ v "x" ]) ] in
   check "A(a) not certain on D" false
-    (Reasoner.Bounded.certain_cq ~max_extra:1 o_counting d qa [ e "a" ]);
+    (Deepen.certain_cq ~max_extra:1 o_counting d qa [ e "a" ]);
   (match
      Material.Tolerance.check ~variant:Structure.Unravel.UGF ~depth:3
        ~max_extra:0 o_counting d qa [ e "a" ]

@@ -33,7 +33,7 @@ let test_chase_vs_bounded =
         (fun el ->
           Bool.equal
             (Reasoner.Chase.certain_cq horn_rules d qc [ el ])
-            (Reasoner.Bounded.certain_cq ~max_extra:2 o_horn d qc [ el ]))
+            (Deepen.certain_cq ~max_extra:2 o_horn d qc [ el ]))
         (Structure.Instance.domain_list d))
 
 (* 2. The Theorem 8 encoding round-trips on random graphs. *)
@@ -60,7 +60,7 @@ let test_csp_encoding_roundtrip =
       in
       Bool.equal
         (Csp.Solve.solvable template g)
-        (Reasoner.Bounded.is_consistent ~max_extra:2 o
+        (Deepen.is_consistent ~max_extra:2 o
            (Csp.Encode.lift_instance template g)))
 
 (* 3. Unravellings: the up map is always a homomorphism onto D, and the
@@ -144,8 +144,8 @@ let test_scott_random =
         (fun s -> Gf.Syntax.is_ugf_sentence s && Gf.Syntax.sentence_depth s <= 1)
         (Logic.Ontology.sentences o')
       && Bool.equal
-           (Reasoner.Bounded.is_consistent ~max_extra:2 o d)
-           (Reasoner.Bounded.is_consistent ~max_extra:2 o' d))
+           (Deepen.is_consistent ~max_extra:2 o d)
+           (Deepen.is_consistent ~max_extra:2 o' d))
 
 (* 6. Hom-universal models (Lemma 2 direction we can check): Horn
    ontologies admit them among the bounded models; the disjunctive one

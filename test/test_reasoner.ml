@@ -64,14 +64,14 @@ let test_dpll_vs_brute =
 let test_consistency () =
   (* ∀x (D(x) → A(x) ∨ B(x)) with D(a): consistent. *)
   check "disj consistent" true
-    (Reasoner.Bounded.is_consistent o_disj (inst [ ("D", [ "a" ]) ]));
+    (Deepen.is_consistent o_disj (inst [ ("D", [ "a" ]) ]));
   (* A ⊓ ¬A: inconsistent. *)
   let contradiction =
     Logic.Ontology.make
       [ forall_eq "x" (F.Implies (atom "D" [ v "x" ], F.And (atom "A" [ v "x" ], F.Not (atom "A" [ v "x" ])))) ]
   in
   check "contradiction" false
-    (Reasoner.Bounded.is_consistent contradiction (inst [ ("D", [ "a" ]) ]))
+    (Deepen.is_consistent contradiction (inst [ ("D", [ "a" ]) ]))
 
 let test_certain_disjunctive () =
   (* O = D ⊑ A ⊔ B, D = {D(a)}: A(a) ∨ B(a) is certain, neither disjunct is. *)
@@ -79,21 +79,21 @@ let test_certain_disjunctive () =
   let qa = cq ~answer:[ "x" ] [ ("A", [ v "x" ]) ] in
   let qb = cq ~answer:[ "x" ] [ ("B", [ v "x" ]) ] in
   check "A or B certain" true
-    (Reasoner.Bounded.certain_disjunction o_disj d [ (qa, [ e "a" ]); (qb, [ e "a" ]) ]);
-  check "A not certain" false (Reasoner.Bounded.certain_cq o_disj d qa [ e "a" ]);
-  check "B not certain" false (Reasoner.Bounded.certain_cq o_disj d qb [ e "a" ]);
+    (Deepen.certain_disjunction o_disj d [ (qa, [ e "a" ]); (qb, [ e "a" ]) ]);
+  check "A not certain" false (Deepen.certain_cq o_disj d qa [ e "a" ]);
+  check "B not certain" false (Deepen.certain_cq o_disj d qb [ e "a" ]);
   check "UCQ A|B certain" true
-    (Reasoner.Bounded.certain_ucq o_disj d (ucq [ qa; qb ]) [ e "a" ])
+    (Deepen.certain_ucq o_disj d (ucq [ qa; qb ]) [ e "a" ])
 
 let test_certain_horn () =
   (* o_horn: A(a) entails ∃y R(a,y) ∧ B(y), hence C(a). *)
   let d = inst [ ("A", [ "a" ]) ] in
   let qc = cq ~answer:[ "x" ] [ ("C", [ v "x" ]) ] in
   let qrb = cq ~answer:[ "x" ] [ ("R", [ v "x"; v "y" ]); ("B", [ v "y" ]) ] in
-  check "R.B certain" true (Reasoner.Bounded.certain_cq ~max_extra:2 o_horn d qrb [ e "a" ]);
-  check "C certain" true (Reasoner.Bounded.certain_cq ~max_extra:2 o_horn d qc [ e "a" ]);
+  check "R.B certain" true (Deepen.certain_cq ~max_extra:2 o_horn d qrb [ e "a" ]);
+  check "C certain" true (Deepen.certain_cq ~max_extra:2 o_horn d qc [ e "a" ]);
   let qb = cq ~answer:[ "x" ] [ ("B", [ v "x" ]) ] in
-  check "B(a) not certain" false (Reasoner.Bounded.certain_cq o_horn d qb [ e "a" ])
+  check "B(a) not certain" false (Deepen.certain_cq o_horn d qb [ e "a" ])
 
 let test_hand_finger () =
   (* Section 1's example: O1 ∪ O2 over a hand with five fingers forces a
@@ -108,17 +108,17 @@ let test_hand_finger () =
     cq ~answer:[ "x" ] [ ("hasFinger", [ v "x"; v "y" ]); ("Thumb", [ v "y" ]) ]
   in
   check "O2: hand has a thumb finger" true
-    (Reasoner.Bounded.certain_cq ~max_extra:1 o_hand_thumb d q_has_thumb [ e "h" ]);
+    (Deepen.certain_cq ~max_extra:1 o_hand_thumb d q_has_thumb [ e "h" ]);
   check "O2: f1 need not be a thumb" false
-    (Reasoner.Bounded.certain_cq o_hand_thumb d qt [ e "f1" ]);
+    (Deepen.certain_cq o_hand_thumb d qt [ e "f1" ]);
   (* with the union: the five named fingers are all the fingers, so one
      of them must be the thumb — a certain disjunction with no certain
      disjunct (non-materializability). *)
   let pointed = List.map (fun f -> (qt, [ e f ])) fingers in
   check "union: disjunction certain" true
-    (Reasoner.Bounded.certain_disjunction ~max_extra:1 o_hand_union d pointed);
+    (Deepen.certain_disjunction ~max_extra:1 o_hand_union d pointed);
   check "union: f1 thumb not certain" false
-    (Reasoner.Bounded.certain_cq ~max_extra:1 o_hand_union d qt [ e "f1" ]);
+    (Deepen.certain_cq ~max_extra:1 o_hand_union d qt [ e "f1" ]);
   (* with O1 ∪ O2 but only 4 named fingers, the thumb may be the fifth *)
   let d4 =
     inst
@@ -126,13 +126,15 @@ let test_hand_finger () =
       :: List.map (fun f -> ("hasFinger", [ "h"; f ])) [ "f1"; "f2"; "f3"; "f4" ])
   in
   check "4 fingers: disjunction not certain" false
-    (Reasoner.Bounded.certain_disjunction ~max_extra:1 o_hand_union d4
+    (Deepen.certain_disjunction ~max_extra:1 o_hand_union d4
        (List.map (fun f -> (qt, [ e f ])) [ "f1"; "f2"; "f3"; "f4" ]))
 
 let test_countermodel_is_model () =
   let d = inst [ ("D", [ "a" ]) ] in
   let qa = cq ~answer:[ "x" ] [ ("A", [ v "x" ]) ] in
-  match Reasoner.Bounded.countermodel o_disj d (ucq [ qa ]) [ e "a" ] with
+  match
+    Reasoner.Engine.countermodel (Deepen.at o_disj d 0) (ucq [ qa ]) [ e "a" ]
+  with
   | None -> Alcotest.fail "expected a countermodel"
   | Some m ->
       check "contains D" true (Structure.Instance.subset d m);
@@ -164,7 +166,7 @@ let test_chase_horn () =
   check "C derived" true (Query.Cq.holds r.instance qc [ e "a" ]);
   (* chase result is a model of the rules: the bounded engine agrees *)
   check "agrees with bounded engine" true
-    (Reasoner.Bounded.certain_cq ~max_extra:2 o_horn d qc [ e "a" ])
+    (Deepen.certain_cq ~max_extra:2 o_horn d qc [ e "a" ])
 
 let test_chase_restricted () =
   (* If the head is already satisfied, the chase adds nothing. *)

@@ -27,7 +27,7 @@ let test_agrees_on_horn () =
         expect
         (Rewriting.Typeprog.entails ~extra:2 o_horn qc d_horn [ el ]);
       check "matches bounded certain answers" expect
-        (Reasoner.Bounded.certain_cq ~max_extra:2 o_horn d_horn qc [ el ]))
+        (Deepen.certain_cq ~max_extra:2 o_horn d_horn qc [ el ]))
     [ (e "a", true); (e "b", false) ]
 
 let test_inconsistency_answers_all () =
@@ -66,7 +66,7 @@ let test_example6_unravelling_side () =
   let tri = inst [ ("R", [ "a"; "b" ]); ("R", [ "b"; "c" ]); ("R", [ "c"; "a" ]) ] in
   let qe = cq ~name:"qe" ~answer:[ "x" ] [ ("E", [ v "x" ]) ] in
   check "certain on the triangle" true
-    (Reasoner.Bounded.certain_cq ~max_extra:0 example6 tri qe [ e "a" ]);
+    (Deepen.certain_cq ~max_extra:0 example6 tri qe [ e "a" ]);
   check "rewriting computes the unravelling side" false
     (Rewriting.Typeprog.entails ~extra:1 example6 qe tri [ e "a" ])
 

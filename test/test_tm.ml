@@ -172,7 +172,7 @@ let test_ocell_marks_cells () =
   let o = Dl.Translate.tbox Tm.Gridenc.ontology_cell in
   let pform = Dl.Translate.concept_formula (Tm.Gridenc.eq_one "P") "x" in
   let certain_at el =
-    Reasoner.Bounded.certain_formula ~max_extra:0
+    Helpers.Deepen.certain_formula ~max_extra:0
       ~env:(Logic.Names.SMap.singleton "x" el)
       o d pform
   in
@@ -193,15 +193,15 @@ let test_op_triggers_disjunction () =
   let o = Dl.Translate.tbox (Tm.Gridenc.ontology_undecidability p) in
   let qb1 = Helpers.cq ~name:"qb1" ~answer:[ "x" ] [ ("B1", [ Logic.Term.Var "x" ]) ] in
   let qb2 = Helpers.cq ~name:"qb2" ~answer:[ "x" ] [ ("B2", [ Logic.Term.Var "x" ]) ] in
-  check "consistent" true (Reasoner.Bounded.is_consistent ~max_extra:0 o d);
+  check "consistent" true (Helpers.Deepen.is_consistent ~max_extra:0 o d);
   check "grid(d) holds" true (Tm.Gridenc.grid_holds p d corner);
   check "B1 or B2 certain" true
-    (Reasoner.Bounded.certain_disjunction ~max_extra:0 o d
+    (Helpers.Deepen.certain_disjunction ~max_extra:0 o d
        [ (qb1, [ corner ]); (qb2, [ corner ]) ]);
   check "B1 alone not certain" false
-    (Reasoner.Bounded.certain_cq ~max_extra:0 o d qb1 [ corner ]);
+    (Helpers.Deepen.certain_cq ~max_extra:0 o d qb1 [ corner ]);
   check "B2 alone not certain" false
-    (Reasoner.Bounded.certain_cq ~max_extra:0 o d qb2 [ corner ])
+    (Helpers.Deepen.certain_cq ~max_extra:0 o d qb2 [ corner ])
 
 let test_op_ignores_broken_grids () =
   (* Mislabel the grid (no initial tile): the verification never
@@ -216,7 +216,7 @@ let test_op_ignores_broken_grids () =
   let qb2 = Helpers.cq ~name:"qb2" ~answer:[ "x" ] [ ("B2", [ Logic.Term.Var "x" ]) ] in
   check "grid(d) fails" false (Tm.Gridenc.grid_holds p d corner);
   check "no disjunction certain" false
-    (Reasoner.Bounded.certain_disjunction ~max_extra:0 o d
+    (Helpers.Deepen.certain_disjunction ~max_extra:0 o d
        [ (qb1, [ corner ]); (qb2, [ corner ]) ])
 
 let suite =
