@@ -93,8 +93,11 @@ module Session = struct
     let r =
       Option.is_none
         (Reasoner.Engine.deepen ~max_extra:s.max_extra (fun k ->
-             Reasoner.Engine.countermodel ?budget (engine ?budget s k)
-               s.omq.query tuple))
+             if
+               Reasoner.Engine.certain ?budget (engine ?budget s k)
+                 s.omq.query tuple
+             then None
+             else Some ()))
     in
     if Obs.Trace.enabled () then
       Obs.Trace.add_attr "certain" (Obs.Trace.Bool r);

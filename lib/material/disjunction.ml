@@ -26,26 +26,19 @@ let check ?budget ?(max_extra = 2) o d pointed =
     ~attrs:[ ("disjuncts", Obs.Trace.Int (List.length pointed)) ]
     "material.disjunction_check"
   @@ fun () ->
-  let certain countermodel =
+  let certain pointed =
     Option.is_none
       (Reasoner.Engine.deepen ~max_extra (fun k ->
-           countermodel (Reasoner.Engine.session ?budget ~extra:k o d)))
+           if
+             Reasoner.Engine.certain_disjunction ?budget
+               (Reasoner.Engine.session ?budget ~extra:k o d)
+               pointed
+           then None
+           else Some ()))
   in
-  if
-    not
-      (certain (fun eng ->
-           Reasoner.Engine.countermodel_disjunction ?budget eng pointed))
-  then `Disjunction_not_certain
-  else
-    match
-      List.find_opt
-        (fun (q, t) ->
-          certain (fun eng ->
-              Reasoner.Engine.countermodel ?budget eng (Query.Ucq.of_cq q) t))
-        pointed
-    with
-    | Some _ -> `Holds
-    | None -> `Fails { instance = d; pointed }
+  if not (certain pointed) then `Disjunction_not_certain
+  else if List.exists (fun qt -> certain [ qt ]) pointed then `Holds
+  else `Fails { instance = d; pointed }
 
 (* Search a list of candidate (instance, disjunction) pairs for a
    violation. *)

@@ -5,10 +5,22 @@
 
    The solver is persistent and incremental: it survives across solves,
    accepts new variables and clauses between calls (keeping its learned
-   clauses), and solves under assumption literals — assumptions are
-   planted as the first decision levels, MiniSat-style, so refuting a
-   query instantiation needs no clause retraction. The one-shot [solve]
-   used by the bounded model finder is a thin wrapper. *)
+   clauses), and solves under assumption literals, so refuting a query
+   instantiation needs no clause retraction. The one-shot [solve] used
+   by the bounded model finder is a thin wrapper.
+
+   Level layout. Level 0 holds the permanent (clause-implied)
+   assignment. A non-empty *base* ([set_base]: the fact assumptions of
+   a dynamic engine) is planted as ONE decision level, level 1, and
+   stays propagated across calls: solve start and restarts cancel to
+   level 1, not 0. Per-call assumptions are then planted one decision
+   level each, MiniSat-style (dummy levels for assumptions already
+   true), from level 2 up — from level 1 when the base is empty. Level
+   1 is dropped only by a clause addition, by a learned clause that
+   backjumps to level 0, by a conflict at level 1 and by [set_base];
+   the next search replants it. A conflict at level 1, or an
+   assumption false against the planted levels, answers "unsatisfiable
+   under the assumptions" and never sets [broken]. *)
 
 type result =
   | Sat of bool array  (** index v-1 holds the value of variable v *)
@@ -37,6 +49,8 @@ type t = {
   mutable seen : bool array;  (* scratch for conflict analysis *)
   mutable scratch : int array;  (* scratch for clause simplification *)
   mutable broken : bool;  (* refuted at level 0: permanently unsat *)
+  mutable base : int list;  (* the literals planted as level 1 *)
+  mutable base_stale : bool;  (* [base] changed since level 1 was planted *)
   mutable n_decisions : int;
   mutable n_propagations : int;
   mutable n_conflicts : int;
@@ -75,6 +89,8 @@ let make ~nvars =
     seen = Array.make (max nvars 1) false;
     scratch = Array.make 16 0;
     broken = false;
+    base = [];
+    base_stale = false;
     n_decisions = 0;
     n_propagations = 0;
     n_conflicts = 0;
@@ -197,6 +213,16 @@ let ensure_nvars s n =
 
 (* Decision levels can exceed nvars when assumptions open dummy levels. *)
 let ensure_levels s n = s.trail_lim <- grow_array s.trail_lim n 0
+
+(* Replace the base. O(1): admitting its variables and cancelling the
+   old level 1 are left to the next search, so updates between solves
+   stay cheap. *)
+let set_base s lits =
+  s.base <- lits;
+  s.base_stale <- true
+
+(* The level the per-call assumptions are planted above. *)
+let root s = if s.base = [] then 0 else 1
 
 let counters s = (s.n_decisions, s.n_propagations, s.n_conflicts)
 
@@ -543,12 +569,30 @@ let record_learned s lits =
       s.nclauses <- s.nclauses + 1;
       true
 
-(* The CDCL loop, with [assumptions] planted as the first decision
-   levels (one level per assumption, dummy levels for assumptions that
-   are already true — MiniSat-style). Restarts cancel to level 0 and the
-   assumptions are simply re-planted. An assumption found false against
-   the level-0-closed prefix refutes the query without poisoning the
-   solver: [broken] is only set by genuine level-0 conflicts. *)
+(* Plant the base as decision level 1 over the closed level 0. A base
+   literal false at level 0 (or a complementary pair inside the base)
+   refutes the base: undone, and reported as false. *)
+let plant_base s =
+  s.trail_lim.(0) <- s.trail_size;
+  s.decision_level <- 1;
+  let ok = ref true in
+  List.iter
+    (fun l ->
+      if !ok then
+        match value s l with
+        | 0 -> enqueue s l (-1)
+        | 1 -> ()
+        | _ -> ok := false)
+    s.base;
+  if not !ok then cancel_until s 0;
+  !ok
+
+(* The CDCL loop: the base on level 1 (see the header), then
+   [assumptions] as the following decision levels, then VSIDS decisions.
+   Restarts cancel to the root level and re-plant the assumptions. An
+   assumption found false, or a conflict at level 1, refutes the query
+   without poisoning the solver: [broken] is only set by genuine level-0
+   conflicts. *)
 let search ?(budget = Budget.unlimited) s assumptions =
   Obs.Trace.with_span
     ~attrs:[ ("vars", Obs.Trace.Int s.nvars) ]
@@ -556,8 +600,14 @@ let search ?(budget = Budget.unlimited) s assumptions =
   @@ fun () ->
   let assumptions = Array.of_list assumptions in
   Array.iter (fun l -> ensure_nvars s (lit_var l + 1)) assumptions;
-  ensure_levels s (Array.length assumptions + s.nvars + 1);
-  cancel_until s 0;
+  let root = root s in
+  if s.base_stale then begin
+    List.iter (fun l -> ensure_nvars s (lit_var l + 1)) s.base;
+    cancel_until s 0;
+    s.base_stale <- false
+  end
+  else cancel_until s root;
+  ensure_levels s (Array.length assumptions + s.nvars + 2);
   if s.heap_dirty then begin
     (* bulk seeding bypassed per-write heap repair; one rebuild here *)
     heap_rebuild s;
@@ -567,9 +617,11 @@ let search ?(budget = Budget.unlimited) s assumptions =
   else begin
     let restart_budget = ref 100 in
     let conflicts = ref 0 in
+    let plants = ref 0 and base_conflict = ref false in
     (* Budget checkpoints sit between propagation/decision rounds, where
        the solver's invariants hold: an [Exhausted] raised here leaves a
-       consistent trail that the next call simply cancels to level 0, so
+       consistent trail that the next call cancels to the root level (a
+       level 1 interrupted mid-propagation is simply propagated on), so
        an interrupted solver stays reusable. Fuel is debited by the
        actual CDCL effort (propagations + conflicts) since the previous
        checkpoint. *)
@@ -590,8 +642,15 @@ let search ?(budget = Budget.unlimited) s assumptions =
           s.broken <- true;
           false
         end
+        else if s.decision_level = root then begin
+          (* the base itself is refuted: unsat under it, not [broken] *)
+          base_conflict := true;
+          cancel_until s 0;
+          false
+        end
         else begin
           let learned, backjump = analyze s conflict in
+          (* a backjump to level 0 drops the base; [loop] replants it *)
           cancel_until s backjump;
           decay s;
           if not (record_learned s learned) then begin
@@ -600,8 +659,8 @@ let search ?(budget = Budget.unlimited) s assumptions =
           end
           else if !conflicts >= !restart_budget then begin
             restart_budget := !restart_budget + (!restart_budget / 2);
-            cancel_until s 0;
-            (* Level 0 after a cancel: a safe boundary for a clock read. *)
+            cancel_until s root;
+            (* Back at the root: a safe boundary for a clock read. *)
             Obs.Trace.event
               ~attrs:[ ("conflicts", Obs.Trace.Int !conflicts) ]
               "dpll.restart";
@@ -610,9 +669,13 @@ let search ?(budget = Budget.unlimited) s assumptions =
           else loop ()
         end
       end
-      else if s.decision_level < Array.length assumptions then begin
+      else if s.decision_level < root then begin
+        incr plants;
+        if plant_base s then loop () else false
+      end
+      else if s.decision_level - root < Array.length assumptions then begin
         (* plant the next assumption as a decision *)
-        let p = assumptions.(s.decision_level) in
+        let p = assumptions.(s.decision_level - root) in
         match value s p with
         | -1 -> false (* conflicts with the assumptions: not [broken] *)
         | 1 ->
@@ -633,20 +696,40 @@ let search ?(budget = Budget.unlimited) s assumptions =
         | Some _ -> loop ()
     in
     let r = loop () in
-    if Obs.Trace.enabled () then
+    if Obs.Trace.enabled () then begin
       Obs.Trace.add_attr "budget_checkpoints"
         (Obs.Trace.Int (Budget.checkpoints budget));
+      Obs.Trace.add_attr "base_plants" (Obs.Trace.Int !plants);
+      Obs.Trace.add_attr "base_conflict" (Obs.Trace.Bool !base_conflict)
+    end;
     r
   end
 
-(* Satisfiability under assumptions without materializing the model —
-   the engine's per-tuple certainty path discards it anyway. *)
+(* Satisfiability under assumptions without materializing the model;
+   a caller that wants it reads it with [model_bits]. *)
 let sat_assuming ?budget s assumptions = search ?budget s assumptions
 
 let solve_assuming ?budget s assumptions =
   if search ?budget s assumptions then
     Sat (Array.init s.nvars (fun v -> s.assign.(v) = 1))
   else Unsat
+
+(* The assignment a satisfying verdict left on the trail, one bit per
+   variable: an eighth of a byte where a [bool array] costs a word. *)
+let model_bits s =
+  let b = Bytes.make ((s.nvars + 7) / 8) '\000' in
+  for v = 0 to s.nvars - 1 do
+    if s.assign.(v) = 1 then
+      Bytes.unsafe_set b (v lsr 3)
+        (Char.unsafe_chr
+           (Char.code (Bytes.unsafe_get b (v lsr 3)) lor (1 lsl (v land 7))))
+  done;
+  b
+
+let bit b v =
+  let i = v - 1 in
+  i lsr 3 < Bytes.length b
+  && Char.code (Bytes.get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
 let is_broken s = s.broken
 

@@ -5,7 +5,13 @@
     The solver is persistent: {!make} creates one that accepts new
     variables and clauses between calls via {!ensure_nvars} and
     {!assert_clause}, keeps its learned clauses, and solves under
-    assumption literals with {!solve_assuming}. *)
+    assumption literals with {!solve_assuming}.
+
+    Assumptions come in two tiers. The {e base} ({!set_base}) is planted
+    as one decision level, level 1, and stays propagated across solves;
+    per-call assumptions are planted above it, one level each. Level 1
+    is replanted only after {!set_base}, a clause addition, a learned
+    clause that backjumps to level 0 or a conflict at level 1. *)
 
 type result =
   | Sat of bool array  (** index v-1 holds the value of variable v *)
@@ -37,17 +43,33 @@ val seed_clause : t -> int list -> unit
 (** {!seed_clause} for an arena slice. *)
 val seed_clause_slice : t -> int array -> int -> int -> unit
 
-(** Solve the accumulated clauses under temporary assumption literals.
-    Learned clauses persist; assumptions do not. With a [budget], the
-    CDCL loop checkpoints between propagation/decision rounds (debiting
-    fuel by propagations + conflicts) and may raise {!Budget.Exhausted};
-    the solver remains consistent and reusable after such a trip. *)
+(** [set_base s lits] makes [lits] the persistent assumptions every
+    later solve runs under, replacing the previous base. O(1): the old
+    level 1 is cancelled by the next solve, which plants the new one.
+    Also, a conflict at level 1 drops it. A base contradicting the clauses makes every solve answer
+    unsatisfiable without {!is_broken} becoming true. *)
+val set_base : t -> int list -> unit
+
+(** Solve the accumulated clauses under the base and temporary
+    assumption literals. Learned clauses persist; assumptions do not.
+    With a [budget], the CDCL loop checkpoints between
+    propagation/decision rounds (debiting fuel by propagations +
+    conflicts) and may raise {!Budget.Exhausted}; the solver remains
+    consistent and reusable after such a trip. *)
 val solve_assuming : ?budget:Budget.t -> t -> int list -> result
 
 (** {!solve_assuming} without materializing the model — for callers
-    that only need the verdict (the engine's per-tuple certainty path),
-    saving an O(nvars) array per call. *)
+    that only need the verdict, or read the model with {!model_bits}. *)
 val sat_assuming : ?budget:Budget.t -> t -> int list -> bool
+
+(** The model of the last satisfying verdict as a bitmap (bit [v-1]
+    holds variable [v]). Only meaningful directly after {!sat_assuming}
+    returned [true], before any other call on the solver. *)
+val model_bits : t -> Bytes.t
+
+(** [bit m v]: variable [v] in a {!model_bits} bitmap. Variables past
+    the bitmap's end — admitted after the solve — read [false]. *)
+val bit : Bytes.t -> int -> bool
 
 (** The solver derived a contradiction at level 0: unsatisfiable no
     matter the assumptions, permanently. *)

@@ -12,6 +12,15 @@ module SMap = Logic.Names.SMap
    the base problem, which keeps the memoized consistency verdict and
    all learned clauses sound as more queries arrive.
 
+   Work kept between solves. A dynamic engine's fact assumptions are the
+   solver's base (Dpll.set_base): planted once as decision level 1 and
+   left propagated, so a solve pays only for its own query assumptions,
+   and an update replants them once rather than every solve doing so.
+   Every satisfying verdict's model is kept as the session's witness,
+   as a bitmap: existential-free CQs are checked on its fact-variable
+   bits, and the witness instance is read off the bits only for CQs
+   with existential variables and for callers that want a model.
+
    Budgets: every operation accepts a [?budget] and installs it on the
    session's grounder and solver for the duration of the call. A trip
    raises [Budget.Exhausted] out of the plain forms (the [try_*] forms
@@ -30,12 +39,13 @@ type t = {
      (the fact variables themselves — dense ranks in per-relation
      blocks) instead of unit clauses: insertion adds an assumption over
      the existing block, retraction drops one, and neither rebuilds the
-     solver. Learned clauses stay sound because assumptions never
-     participate in them ("learned clauses persist; assumptions do
-     not"). Static engines keep the cheaper unit-clause encoding. *)
+     solver. Learned clauses stay sound because conflict analysis never
+     resolves on an assumption: they are consequences of the clauses
+     alone ("learned clauses persist; assumptions do not"). Static
+     engines keep the cheaper unit-clause encoding. *)
   dynamic : bool;
   assumed : (Structure.Instance.fact, int) Hashtbl.t;
-  mutable fact_assumptions : int list;
+  mutable base : int list;  (* the values of [assumed]: the solver's base *)
   ground : Ground.t;
   solver : Dpll.t;
   reified : (Logic.Formula.t * (string * Structure.Element.t) list, int) Hashtbl.t;
@@ -49,14 +59,19 @@ type t = {
   stats : Stats.t;
   mutable budget : Budget.t;  (* installed per call; unlimited at rest *)
   mutable consistent : bool option;  (* memoized no-assumption verdict *)
-  (* the most recent countermodel, kept as a candidate witness: a
-     model of O and D over the session domain refutes every tuple whose
-     query it falsifies, so most non-answers are settled by direct
-     evaluation instead of a solver call. Sound for the whole session
-     lifetime — later additions are definitional extensions (query
-     reifications) and implied (learned) clauses, neither of which
-     constrains the fact variables further. *)
-  mutable witness : Structure.Instance.t option;
+  (* the most recent model, kept as a candidate witness: a model of O
+     and D over the session domain refutes every tuple whose query it
+     falsifies, so most non-answers are settled by direct evaluation
+     instead of a solver call. Sound for the whole session lifetime —
+     later additions are definitional extensions (query reifications)
+     and implied (learned) clauses, neither of which constrains the fact
+     variables further. *)
+  mutable witness : witness option;
+}
+
+and witness = {
+  bits : Bytes.t;  (* the SAT model (Dpll.model_bits) *)
+  model : Structure.Instance.t Lazy.t;  (* read off [bits] on demand *)
 }
 
 let ontology t = t.ontology
@@ -121,7 +136,7 @@ let create ?stats:(st = Stats.create ()) ?(extra_signature = Logic.Signature.emp
               ~extra o d)
       in
       let assumed = Hashtbl.create (if dynamic then 64 else 1) in
-      let fact_assumptions =
+      let base =
         if not dynamic then []
         else
           Structure.Instance.FactSet.fold
@@ -139,7 +154,7 @@ let create ?stats:(st = Stats.create ()) ?(extra_signature = Logic.Signature.emp
           extra;
           dynamic;
           assumed;
-          fact_assumptions;
+          base;
           ground = g;
           solver = Dpll.make ~nvars:(Ground.nvars g);
           reified = Hashtbl.create 64;
@@ -156,6 +171,7 @@ let create ?stats:(st = Stats.create ()) ?(extra_signature = Logic.Signature.emp
           t.budget <- Budget.unlimited;
           Ground.set_budget g Budget.unlimited)
         (fun () -> sync t);
+      Dpll.set_base t.solver base;
       let dt = Obs.Clock.now () -. t0 in
       tally t (fun s ->
           s.Stats.groundings <- s.Stats.groundings + 1;
@@ -189,21 +205,28 @@ let instrumented t n_assumptions f =
           end)
         f)
 
-(* Dynamic engines prepend the fact assumptions to every solve. *)
-let all_assumptions t assumptions =
-  if t.fact_assumptions == [] then assumptions
-  else List.rev_append t.fact_assumptions assumptions
+(* The one solver path, under the base and [assumptions]. A satisfying
+   verdict's model becomes the witness (any model of O and D over the
+   session domain serves) and settles consistency; an assumption-free
+   refutation settles it the other way. *)
+let solve t assumptions =
+  let sat =
+    instrumented t (List.length assumptions) (fun () ->
+        Dpll.sat_assuming ~budget:t.budget t.solver assumptions)
+  in
+  if sat then begin
+    let bits = Dpll.model_bits t.solver in
+    let w = { bits; model = lazy (Ground.extract_model t.ground bits) } in
+    t.witness <- Some w;
+    t.consistent <- Some true;
+    Some w
+  end
+  else begin
+    if assumptions = [] then t.consistent <- Some false;
+    None
+  end
 
-let run_solver t assumptions =
-  let assumptions = all_assumptions t assumptions in
-  instrumented t (List.length assumptions) (fun () ->
-      Dpll.solve_assuming ~budget:t.budget t.solver assumptions)
-
-(* Same, but only the verdict: no model array is built. *)
-let run_solver_sat t assumptions =
-  let assumptions = all_assumptions t assumptions in
-  instrumented t (List.length assumptions) (fun () ->
-      Dpll.sat_assuming ~budget:t.budget t.solver assumptions)
+let model_of w = Option.map (fun w -> Lazy.force w.model) w
 
 (* The literal equivalent to [f] under [env], memoized per session. New
    relations are admitted on demand (their facts are unconstrained by O
@@ -237,24 +260,15 @@ let formula_of_cq t cq =
    witness answers without a solver call. *)
 let find_model ?(budget = Budget.unlimited) t =
   match t.witness with
-  | Some _ as w -> w
-  | None ->
-      with_budget t budget (fun () ->
-          match run_solver t [] with
-          | Dpll.Unsat -> None
-          | Dpll.Sat m ->
-              let w = Ground.extract_model t.ground m in
-              t.witness <- Some w;
-              Some w)
+  | Some _ as w -> model_of w
+  | None -> with_budget t budget (fun () -> model_of (solve t []))
 
 let is_consistent ?(budget = Budget.unlimited) t =
   match t.consistent with
   | Some c -> c
   | None ->
-      with_budget t budget (fun () ->
-          let c = run_solver_sat t [] in
-          t.consistent <- Some c;
-          c)
+      Option.is_some t.witness
+      || with_budget t budget (fun () -> Option.is_some (solve t []))
 
 let answer_env (q : Query.Cq.t) tuple =
   List.fold_left2
@@ -271,36 +285,61 @@ let pointed_assumptions t pointed =
       -reified_lit ~env t (formula_of_cq t cq))
     pointed
 
+(* [cq] holds at [tuple] in the witness. An existential-free CQ is
+   matched on the model bits, one fact variable per atom (facts outside
+   the grounded signature or domain are false in every model); other
+   CQs read the witness instance and run the CQ evaluator. *)
+let witness_holds t w (cq : Query.Cq.t) tuple =
+  if Logic.Names.SSet.is_empty (Query.Cq.existential_variables cq) then
+    let env = answer_env cq tuple in
+    List.for_all
+      (fun (rel, ts) ->
+        let args =
+          List.map
+            (function
+              | Logic.Term.Var x -> SMap.find x env
+              | c -> Query.Cq.term_element c)
+            ts
+        in
+        match Ground.fact_var t.ground (Structure.Instance.fact rel args) with
+        | v -> Dpll.bit w.bits v
+        | exception Invalid_argument _ -> false)
+      cq.Query.Cq.atoms
+  else Query.Cq.holds (Lazy.force w.model) cq tuple
+
 (* [w] already demonstrates O,D ⊭ ⋁ qᵢ(āᵢ): every disjunct fails on it. *)
-let witness_refutes w pointed =
-  List.for_all (fun (cq, tuple) -> not (Query.Cq.holds w cq tuple)) pointed
+let witness_refutes t w pointed =
+  List.for_all (fun (cq, tuple) -> not (witness_holds t w cq tuple)) pointed
 
-(* The certainty hot path: try the cached witness first — direct CQ
-   evaluation, no solver call — and fall back to a countermodel search
-   (which refreshes the witness) only when the witness satisfies some
-   disjunct. Over a batch of n² candidate tuples one countermodel
-   typically settles nearly all non-answers. *)
-let countermodel_disjunction ?(budget = Budget.unlimited) t pointed =
+(* The certainty hot path: try the cached witness first — no solver
+   call — and fall back to a countermodel search (which refreshes the
+   witness) only when the witness satisfies some disjunct. Over a batch
+   of n² candidate tuples one countermodel typically settles nearly all
+   non-answers. *)
+let refute ?(budget = Budget.unlimited) t pointed =
   match t.witness with
-  | Some w when witness_refutes w pointed -> Some w
-  | _ ->
-      with_budget t budget (fun () ->
-          match run_solver t (pointed_assumptions t pointed) with
-          | Dpll.Unsat -> None
-          | Dpll.Sat m ->
-              let w = Ground.extract_model t.ground m in
-              t.witness <- Some w;
-              Some w)
+  | Some w when witness_refutes t w pointed -> Some w
+  | _ -> with_budget t budget (fun () -> solve t (pointed_assumptions t pointed))
 
-let countermodel ?budget t q tuple =
+let countermodel_disjunction ?budget t pointed =
+  model_of (refute ?budget t pointed)
+
+let certain_disjunction ?budget t pointed =
+  Option.is_none (refute ?budget t pointed)
+
+let pointed_ucq q tuple =
   if List.length tuple <> Query.Ucq.arity q then
     invalid_arg "Engine.countermodel: tuple arity mismatch";
-  countermodel_disjunction ?budget t
-    (List.map (fun cq -> (cq, tuple)) (Query.Ucq.disjuncts q))
+  List.map (fun cq -> (cq, tuple)) (Query.Ucq.disjuncts q)
+
+let countermodel ?budget t q tuple =
+  countermodel_disjunction ?budget t (pointed_ucq q tuple)
+
+let certain ?budget t q tuple = certain_disjunction ?budget t (pointed_ucq q tuple)
 
 let certain_formula ?(budget = Budget.unlimited) ?(env = SMap.empty) t f =
   with_budget t budget (fun () ->
-      not (run_solver_sat t [ -reified_lit ~env t f ]))
+      Option.is_none (solve t [ -reified_lit ~env t f ]))
 
 (* A model over the session domain satisfying exactly the flagged pointed
    queries: entries (q, ā, true) assume their reified literal, entries
@@ -316,9 +355,7 @@ let pool_exact_model ?(budget = Budget.unlimited) t flagged =
             if wanted then l else -l)
           flagged
       in
-      match run_solver t assumptions with
-      | Dpll.Unsat -> None
-      | Dpll.Sat m -> Some (Ground.extract_model t.ground m))
+      model_of (solve t assumptions))
 
 (* ------------------------------------------------------------------ *)
 (* Delta maintenance (dynamic engines)                                  *)
@@ -374,17 +411,17 @@ let insert_facts ?(budget = Budget.unlimited) t facts =
             List.iter
               (fun (f, v) ->
                 Hashtbl.replace t.assumed f v;
-                t.fact_assumptions <- v :: t.fact_assumptions;
+                t.base <- v :: t.base;
                 t.instance <- Structure.Instance.add_fact f t.instance)
               vars;
+            if vars <> [] then Dpll.set_base t.solver t.base;
             (match t.consistent with
             | Some true -> t.consistent <- None
             | _ -> ());
+            (* a relation registered by this insert lies past the
+               witness bits, so its facts read false: the witness goes *)
             (match t.witness with
-            | Some w
-              when List.for_all
-                     (fun (f, _) -> Structure.Instance.mem f w)
-                     vars ->
+            | Some w when List.for_all (fun (_, v) -> Dpll.bit w.bits v) vars ->
                 ()
             | Some _ -> t.witness <- None
             | None -> ());
@@ -432,8 +469,8 @@ let retract_facts ?(budget = Budget.unlimited) t facts =
           List.iter (fun f -> Hashtbl.remove t.assumed f) present;
           if present <> [] then begin
             t.instance <- shrunk;
-            t.fact_assumptions <-
-              Hashtbl.fold (fun _ v acc -> v :: acc) t.assumed [];
+            t.base <- Hashtbl.fold (fun _ v acc -> v :: acc) t.assumed [];
+            Dpll.set_base t.solver t.base;
             match t.consistent with
             | Some false -> t.consistent <- None
             | _ -> ()

@@ -11,6 +11,13 @@
     over bounds 0..[max_extra]: GF and GC2 have the finite model
     property, so deepening converges in the limit.
 
+    A session keeps the last model any solve found as its {e witness}:
+    a model of O and D refutes every query that fails in it, so most
+    non-answers are settled without the solver. The witness is held as
+    the solver's model bitmap; existential-free CQs are evaluated on its
+    fact variables, and an instance is built from it only for CQs with
+    existential variables and for the operations returning models.
+
     Every operation accepts a [?budget] (default {!Budget.unlimited}).
     The plain forms raise {!Budget.Exhausted} on a trip; {!try_deepen}
     returns a typed {!Budget.outcome} instead. A trip never corrupts a
@@ -27,11 +34,13 @@ type t
     every update is mirrored into {!Stats.global}. May raise
     {!Budget.Exhausted} while grounding when budgeted.
 
-    With [~dynamic:true] the instance's facts are carried as persistent
-    solver assumptions (their dense-rank fact variables) instead of unit
-    clauses, enabling {!insert_facts} / {!retract_facts} without a
-    solver rebuild. Dynamic engines mutate their instance in place and
-    must not enter the keyed {!session} cache. *)
+    With [~dynamic:true] the instance's facts are carried as the
+    solver's persistent base assumptions ({!Dpll.set_base}: their
+    dense-rank fact variables, planted once and kept propagated across
+    solves) instead of unit clauses, enabling {!insert_facts} /
+    {!retract_facts} without a solver rebuild. Dynamic engines mutate
+    their instance in place and must not enter the keyed {!session}
+    cache. *)
 val create :
   ?stats:Stats.t ->
   ?extra_signature:Logic.Signature.t ->
@@ -53,7 +62,8 @@ val find_model : ?budget:Budget.t -> t -> Structure.Instance.t option
 
 (** Memoized: solved once per session (only a completed verdict is
     memoized), sound because query reifications are definitional
-    extensions. *)
+    extensions. [true] without a solve when the session holds a witness;
+    a satisfying solve keeps its model as the witness. *)
 val is_consistent : ?budget:Budget.t -> t -> bool
 
 (** A countermodel to O,D ⊨ q(ā) over the session domain, if any. The
@@ -73,6 +83,15 @@ val countermodel_disjunction :
   t ->
   (Query.Cq.t * Structure.Element.t list) list ->
   Structure.Instance.t option
+
+(** O,D ⊨ q(ā) at this session's bound: {!countermodel} finds none. The
+    verdict alone — no countermodel instance is built. *)
+val certain :
+  ?budget:Budget.t -> t -> Query.Ucq.t -> Structure.Element.t list -> bool
+
+(** The verdict of {!countermodel_disjunction}, likewise. *)
+val certain_disjunction :
+  ?budget:Budget.t -> t -> (Query.Cq.t * Structure.Element.t list) list -> bool
 
 (** Certain truth of an FO(=, counting) formula under an assignment. *)
 val certain_formula :

@@ -741,7 +741,8 @@ let assert_instance t inst =
 (* Solving and model extraction                                         *)
 (* ------------------------------------------------------------------ *)
 
-let model_to_instance t model =
+(* [value v] is the truth of variable [v] in the model being read. *)
+let model_to_instance t value =
   let base =
     Array.fold_left
       (fun inst e -> Structure.Instance.add_element e inst)
@@ -756,7 +757,7 @@ let model_to_instance t model =
     (fun inst (rel, info) ->
       let inst = ref inst in
       for rank = 0 to info.count - 1 do
-        if model.(info.base + rank - 1) then
+        if value (info.base + rank) then
           inst :=
             Structure.Instance.add_fact
               (Structure.Instance.fact rel (decode rank info.arity []))
@@ -766,14 +767,15 @@ let model_to_instance t model =
     base
     (List.rev t.rels_rev)
 
-let extract_model = model_to_instance
+let bool_model model v = model.(v - 1)
+let extract_model t bits = model_to_instance t (Dpll.bit bits)
 
 let solve t =
   match
     Dpll.solve_iter ~budget:t.budget ~nvars:t.nvars (fun f -> iter_clauses t f)
   with
   | Dpll.Unsat -> None
-  | Dpll.Sat model -> Some (model_to_instance t model)
+  | Dpll.Sat model -> Some (model_to_instance t (bool_model model))
 
 (* Every fact variable, in registration order (for projected model
    enumeration: distinct fact sets, not distinct auxiliary values). *)
@@ -785,7 +787,7 @@ let fact_vars t =
 let enumerate ?(limit = max_int) t =
   Dpll.enumerate_iter ~budget:t.budget ~nvars:t.nvars ~project:(fact_vars t)
     ~limit (fun f -> iter_clauses t f)
-  |> List.map (model_to_instance t)
+  |> List.map (fun model -> model_to_instance t (bool_model model))
 
 (* Enumerate the distinct truth-value combinations of the given
    (reified) literals over all models. *)

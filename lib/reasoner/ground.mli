@@ -69,9 +69,11 @@ val assert_instance : t -> Structure.Instance.t -> unit
     the whole domain as its universe. *)
 val solve : t -> Structure.Instance.t option
 
-(** Read an instance off a raw solver model (for persistent solvers
-    driven outside this module, see {!Engine}). *)
-val extract_model : t -> bool array -> Structure.Instance.t
+(** Read an instance off a solver model bitmap ({!Dpll.model_bits}, for
+    persistent solvers driven outside this module, see {!Engine}).
+    Relations registered after the solve have their variables past the
+    bitmap's end: they read as empty. *)
+val extract_model : t -> Bytes.t -> Structure.Instance.t
 
 (** Enumerate models (distinct fact sets), up to [limit]. *)
 val enumerate : ?limit:int -> t -> Structure.Instance.t list

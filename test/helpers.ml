@@ -80,6 +80,11 @@ let o_horn =
               F.Implies (atom "B" [ v "y" ], atom "C" [ v "x" ]) ) );
     ]
 
+(* Non-Horn with an existential: C0 ⊑ C1 ⊔ C2, C1 ⊑ ∃r0.C3. *)
+let o_mixed =
+  Dl.Translate.tbox
+    (Dl.Parser.parse_tbox "C0 << C1 or C2\nC1 << exists r0 . C3\n")
+
 (* ---------------------------------------------------------------- *)
 (* Certainty through Reasoner.Engine's deepening front               *)
 (* ---------------------------------------------------------------- *)

@@ -84,6 +84,53 @@ let test_inject_everywhere () =
       expected after
   done
 
+(* The same sweep on an updatable session after an insert: the insert
+   replaces the solver's base, so trips land inside the base replant
+   and inside solves running over the planted base. After every trip
+   the same session, unbudgeted, must answer like the oracle. *)
+let sweep_updatable omq d inserted =
+  let d1 = Structure.Instance.add_fact inserted d in
+  let expected =
+    List.filter
+      (fun t -> Bounded.certain_ucq ~max_extra:1 omq.Omq.ontology d1 omq.Omq.query t)
+      (List.map (fun x -> [ x ]) (Structure.Instance.domain_list d1))
+  in
+  let updated () =
+    let s = Omq.open_session ~max_extra:1 ~updatable:true omq d in
+    ignore (Omq.Session.certain_answers s);
+    match Omq.Session.insert_facts s [ inserted ] with
+    | s, `Delta -> s
+    | _, `Reopen -> Alcotest.fail "in-domain insert reopened"
+  in
+  let obs = Budget.observer () in
+  ignore (Omq.Session.certain_answers_within obs (updated ()));
+  let n = Budget.checkpoints obs in
+  check Alcotest.bool "updated session passes checkpoints" true (n > 0);
+  for i = 0 to n - 1 do
+    let s = updated () in
+    (match Omq.Session.certain_answers_within (Budget.inject_after i) s with
+    | `Ok a -> check answers (Printf.sprintf "inject %d completed" i) expected a
+    | `Timeout _ -> Alcotest.failf "inject %d tripped with Timeout" i
+    | `Out_of_fuel p ->
+        check Alcotest.bool
+          (Printf.sprintf "inject %d: certified sound" i)
+          true
+          (subset_of ~expected p.Omq.Session.certified));
+    check answers
+      (Printf.sprintf "inject %d: unbudgeted rerun matches the oracle" i)
+      expected
+      (Omq.Session.certain_answers s)
+  done
+
+let test_inject_everywhere_updatable () =
+  sweep_updatable omq_disj d_disj (Structure.Instance.fact "D" [ e "c" ]);
+  (* R(x,y) ∧ B(y) → C(x) watches two base literals at once: C(a) is
+     certain only if a replant interrupted by a trip is propagated on *)
+  sweep_updatable
+    (Omq.make o_horn (Query.Parse.ucq_of_string "q(x) <- C(x)"))
+    (inst [ ("A", [ "a" ]); ("R", [ "a"; "b" ]) ])
+    (Structure.Instance.fact "B" [ e "b" ])
+
 let test_inject_timeout_reason () =
   Reasoner.Engine.clear_cache ();
   match eval (Budget.inject_after ~reason:Budget.Timeout 5) with
@@ -226,6 +273,8 @@ let suite =
     Alcotest.test_case "unbudgeted_unchanged" `Quick test_unbudgeted_unchanged;
     Alcotest.test_case "observer_counts" `Quick test_observer_counts;
     Alcotest.test_case "inject_everywhere" `Slow test_inject_everywhere;
+    Alcotest.test_case "inject_everywhere_updatable" `Slow
+      test_inject_everywhere_updatable;
     Alcotest.test_case "inject_timeout_reason" `Quick test_inject_timeout_reason;
     Alcotest.test_case "expired_deadline" `Quick test_expired_deadline;
     Alcotest.test_case "fuel_exhaustion" `Quick test_fuel_exhaustion;

@@ -637,20 +637,25 @@ let test_overload_shed_and_worker_lost () =
   | Ok (_, r) ->
       Alcotest.failf "expected worker_lost: %s" (P.render_response r)
   | Error _ -> Alcotest.fail "undecodable worker_lost response");
-  (* same frame, resent until the replayed session answers *)
+  (* same frame, resent until the replacement worker has replayed the
+     session: exponential backoff (10 ms, doubling, capped at 200 ms)
+     under a 10 s deadline, so a loaded machine gets time to respawn *)
   let expected = P.render_response (direct_eval ()) in
-  let rec retry n =
-    if n > 50 then Alcotest.fail "replayed session never answered";
+  let deadline = Obs.Clock.now () +. 10.0 in
+  let rec retry pause =
     write_all fd (P.render_request ~id:4 (eval_req sid) ^ "\n");
     match P.parse_response (read_line fd buf) with
     | Ok (Some 4, P.Rejected { kind; _ }) when P.retryable kind ->
-        retry (n + 1)
+        if Obs.Clock.now () > deadline then
+          Alcotest.fail "replayed session never answered";
+        Unix.sleepf pause;
+        retry (Float.min 0.2 (2.0 *. pause))
     | Ok (Some 4, resp) ->
         check_str "post-recovery answer byte-identical" expected
           (P.render_response resp)
     | _ -> Alcotest.fail "bad retry response"
   in
-  retry 0;
+  retry 0.01;
   Unix.close fd
 
 (* ---------------------------------------------------------------- *)

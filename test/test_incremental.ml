@@ -259,6 +259,127 @@ let test_session_retract_to_empty () =
   check "empty instance answers" true
     (Omq.Session.certain_answers s = [])
 
+(* ---------------------------------------------------------------- *)
+(* Delta sessions on a non-Horn ontology, against cold sessions and the
+   bounded oracle *)
+
+(* one query matched on the witness bits, one with an existential *)
+let q_free = Query.Parse.ucq_of_string "q(x) <- C2(x)"
+let q_exists = Query.Parse.ucq_of_string "q(x) <- r0(x,y), C3(y)"
+let mixed_universe = [ "a"; "b"; "c"; "d" ]
+
+(* [Dom] facts keep every constant in the domain, so no retraction
+   vacates one and every update stays on the delta path *)
+let mixed_anchor = List.map (fun x -> fact "Dom" [ x ]) mixed_universe
+
+let gen_mixed_fact rng =
+  let el () = List.nth mixed_universe (Random.State.int rng 4) in
+  match Random.State.int rng 5 with
+  | 4 -> fact "r0" [ el (); el () ]
+  | i -> fact (Printf.sprintf "C%d" i) [ el () ]
+
+let render_answers answers =
+  String.concat ";"
+    (List.map
+       (fun t -> String.concat "," (List.map Structure.Element.to_string t))
+       answers)
+
+let oracle_answers q d =
+  List.filter
+    (fun t -> Bounded.certain_ucq ~max_extra:2 o_mixed d q t)
+    (List.map (fun x -> [ e x ]) mixed_universe)
+
+let mixed_sessions_agree =
+  QCheck.Test.make ~count:12
+    ~name:"delta sessions on a non-Horn ontology agree with cold sessions"
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let d0 =
+        Structure.Instance.of_facts
+          (mixed_anchor @ List.init 4 (fun _ -> gen_mixed_fact rng))
+      in
+      let open_ q =
+        Omq.open_session ~max_extra:2 ~updatable:true (Omq.make o_mixed q) d0
+      in
+      let sessions = ref [ (q_free, open_ q_free); (q_exists, open_ q_exists) ] in
+      let d = ref d0 in
+      let agree () =
+        List.for_all
+          (fun (q, s) ->
+            let got = render_answers (Omq.Session.certain_answers s) in
+            got
+            = render_answers
+                (Omq.certain_answers ~max_extra:2 (Omq.make o_mixed q) !d)
+            && got = render_answers (oracle_answers q !d))
+          !sessions
+      in
+      let update ~insert facts =
+        let f =
+          if insert then Omq.Session.insert_facts else Omq.Session.retract_facts
+        in
+        let deltas = ref true in
+        sessions :=
+          List.map
+            (fun (q, s) ->
+              let s, how = f s facts in
+              deltas := !deltas && how = `Delta;
+              (q, s))
+            !sessions;
+        d :=
+          List.fold_left
+            (fun d x ->
+              if insert then Structure.Instance.add_fact x d
+              else Structure.Instance.remove_fact x d)
+            !d facts;
+        !deltas
+      in
+      let ok = ref (agree ()) in
+      for i = 1 to 8 do
+        let deltas =
+          if i = 4 then
+            (* a relation unknown to the grounding, registered after the
+               witnesses were taken: its variables lie past their bits *)
+            update ~insert:true [ fact "Fresh" [ "a"; "b" ] ]
+          else if Random.State.bool rng then
+            update ~insert:true [ gen_mixed_fact rng ]
+          else
+            let removable =
+              List.filter
+                (fun f -> not (List.mem f mixed_anchor))
+                (Structure.Instance.facts !d)
+            in
+            match removable with
+            | [] -> update ~insert:true [ gen_mixed_fact rng ]
+            | fs ->
+                update ~insert:false
+                  [ List.nth fs (Random.State.int rng (List.length fs)) ]
+        in
+        ok := !ok && deltas && agree ()
+      done;
+      !ok)
+
+(* A witness taken before a relation is registered is read off its bits
+   afterwards: the new relation's variables lie past them and read
+   false. *)
+let test_witness_after_new_relation () =
+  let d = Structure.Instance.of_facts (mixed_anchor @ [ fact "C0" [ "a" ] ]) in
+  let eng = Reasoner.Engine.create ~dynamic:true ~extra:1 o_mixed d in
+  check "a is not certainly C2" true
+    (not (Reasoner.Engine.certain eng q_free [ e "a" ]));
+  (* certain, so no new witness; registers Fresh, whose |dom|² block
+     overruns the witness bitmap *)
+  let fresh = atom "Fresh" [ c "a"; c "a" ] in
+  check "tautology over a new relation" true
+    (Reasoner.Engine.certain_formula eng (F.Or (fresh, F.Not fresh)));
+  match Reasoner.Engine.find_model eng with
+  | None -> Alcotest.fail "consistent session without a model"
+  | Some m ->
+      check "the old witness has no Fresh facts" false
+        (Structure.Instance.mem (fact "Fresh" [ "a"; "a" ]) m);
+      check "and keeps D" true
+        (List.for_all (fun f -> Structure.Instance.mem f m) (Structure.Instance.facts d))
+
 let suite =
   [
     Alcotest.test_case "strategy dispatch" `Quick test_strategy_dispatch;
@@ -273,4 +394,7 @@ let suite =
     Alcotest.test_case "session updates" `Quick test_session_updates;
     Alcotest.test_case "session retract to empty" `Quick
       test_session_retract_to_empty;
+    QCheck_alcotest.to_alcotest mixed_sessions_agree;
+    Alcotest.test_case "witness read after a new relation" `Quick
+      test_witness_after_new_relation;
   ]

@@ -1,3 +1,8 @@
+(* The suite is also a socket client of in-process daemons, some of
+   which drop connections on purpose: a write to a closed socket must
+   surface as EPIPE to the client under test, not kill the runner. *)
+let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+
 let () =
   Alcotest.run "omq-guarded"
     [

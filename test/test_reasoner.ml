@@ -57,6 +57,102 @@ let test_dpll_vs_brute =
         | Reasoner.Dpll.Sat _ -> true
         | Reasoner.Dpll.Unsat -> false))
 
+(* One persistent solver driven through random sequences of base
+   replacements, clause additions and assumption solves must give the
+   verdict of a fresh one-shot solve of the clauses with the base and
+   the assumptions as unit clauses, and every model must satisfy all
+   three. The solver's trace attributes tell which paths a solve took:
+   [base_conflict] marks a conflict at level 1, [base_plants] > 1 a
+   learned clause that backjumped to level 0 and dropped the base. *)
+let base_conflicts = ref 0
+let base_replants = ref 0
+
+let dpll_base_sequence =
+  QCheck.Test.make ~name:"persistent base agrees with one-shot solves"
+    ~count:400
+    QCheck.(pair (int_bound 100000) (int_range 3 9))
+    (fun (seed, nvars) ->
+      let module D = Reasoner.Dpll in
+      let rng = Random.State.make [| seed |] in
+      let lit () =
+        let v = 1 + Random.State.int rng nvars in
+        if Random.State.bool rng then v else -v
+      in
+      let lits n = List.init n (fun _ -> lit ()) in
+      let s = D.make ~nvars in
+      let clauses = ref [] and base = ref [] in
+      let add c =
+        clauses := c :: !clauses;
+        D.assert_clause s c
+      in
+      for _ = 1 to nvars + Random.State.int rng (2 * nvars) do
+        add (lits (2 + Random.State.int rng 2))
+      done;
+      let ok = ref true in
+      for _ = 1 to 8 + Random.State.int rng 12 do
+        match Random.State.int rng 6 with
+        | 0 ->
+            base := lits (Random.State.int rng (1 + (nvars / 2)));
+            D.set_base s !base
+        | 1 -> add (lits (1 + Random.State.int rng 3))
+        | _ ->
+            let assumptions = lits (Random.State.int rng 4) in
+            let r, trace =
+              Obs.Trace.collect (fun () -> D.solve_assuming s assumptions)
+            in
+            List.iter
+              (fun (sp : Obs.Trace.span) ->
+                List.iter
+                  (function
+                    | "base_conflict", Obs.Trace.Bool true -> incr base_conflicts
+                    | "base_plants", Obs.Trace.Int n when n > 1 ->
+                        incr base_replants
+                    | _ -> ())
+                  sp.attrs)
+              (Obs.Trace.spans trace);
+            let units = List.map (fun l -> [ l ]) (!base @ assumptions) in
+            let expected =
+              match D.solve ~nvars (units @ !clauses) with
+              | D.Sat _ -> true
+              | D.Unsat -> false
+            in
+            let verdict_ok, model_ok =
+              match r with
+              | D.Unsat -> (not expected, true)
+              | D.Sat m ->
+                  ( expected,
+                    List.for_all (List.exists (D.lit_true m)) (units @ !clauses) )
+            in
+            ok := !ok && verdict_ok && model_ok
+      done;
+      !ok)
+
+let test_dpll_base () =
+  base_conflicts := 0;
+  base_replants := 0;
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 17 |]) dpll_base_sequence;
+  check "level-1 conflicts covered" true (!base_conflicts > 0);
+  check "learned units dropping the base covered" true (!base_replants > 0)
+
+let test_dpll_model_bits () =
+  let module D = Reasoner.Dpll in
+  let s = D.make ~nvars:10 in
+  D.assert_clause s [ 1; 2 ];
+  D.assert_clause s [ -1 ];
+  D.set_base s [ 9 ];
+  check "sat" true (D.sat_assuming s [ -3 ]);
+  let b = D.model_bits s in
+  check "forced by a clause" true (D.bit b 2 && not (D.bit b 1));
+  check "base literal" true (D.bit b 9);
+  check "assumption" false (D.bit b 3);
+  check "variables past the end read false" false (D.bit b 1000);
+  (* unsat under the base, and only under it *)
+  D.set_base s [ 1 ];
+  check "base contradicts a unit" false (D.sat_assuming s []);
+  check "not broken" false (D.is_broken s);
+  D.set_base s [];
+  check "empty base" true (D.sat_assuming s [])
+
 (* ---------------------------------------------------------------- *)
 (* Bounded model finding                                             *)
 (* ---------------------------------------------------------------- *)
@@ -206,6 +302,8 @@ let suite =
     Alcotest.test_case "dpll_basic" `Quick test_dpll_basic;
     Alcotest.test_case "dpll_enumerate" `Quick test_dpll_enumerate;
     QCheck_alcotest.to_alcotest test_dpll_vs_brute;
+    Alcotest.test_case "dpll persistent base" `Quick test_dpll_base;
+    Alcotest.test_case "dpll model bits" `Quick test_dpll_model_bits;
     Alcotest.test_case "consistency" `Quick test_consistency;
     Alcotest.test_case "certain_disjunctive" `Quick test_certain_disjunctive;
     Alcotest.test_case "certain_horn" `Quick test_certain_horn;
