@@ -157,7 +157,8 @@ let engine_table () =
         (List.length candidates) (List.length eng_answers) t_seed t_eng
         (Fmt.str "%.1fx" (t_seed /. t_eng))
         (if agree then "" else "MISMATCH");
-      Fmt.pr "         stats: %s@." (Reasoner.Stats.to_json st);
+      Fmt.pr "         stats: %s@."
+        (Obs.Json.render (Reasoner.Stats.to_json st));
       let prefix = Fmt.str "bench.engine.chain%d" n in
       Reasoner.Stats.publish ~prefix st;
       Obs.Metrics.set (Obs.Metrics.global ()) (prefix ^ ".speedup") (t_seed /. t_eng))
@@ -966,7 +967,8 @@ let meta_metrics () =
 
 let write_metrics path =
   let oc = open_out path in
-  output_string oc (Obs.Metrics.to_json (Obs.Metrics.global ()));
+  output_string oc
+    (Obs.Json.render (Obs.Metrics.to_json (Obs.Metrics.global ())));
   output_char oc '\n';
   close_out oc;
   Fmt.pr "@.metrics written to %s@." path

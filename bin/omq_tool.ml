@@ -61,36 +61,10 @@ let run_result f =
       1
 
 (* ------------------------------------------------------------------ *)
-(* Hand-rolled JSON for the commands with bespoke shapes (fig1, corpus);
+(* JSON for the commands with bespoke shapes (fig1, corpus, loadgen);
    classify/eval/decide render through Omq.Protocol instead. *)
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-(* [fields] are already-rendered JSON values. *)
-let json_obj fields =
-  "{"
-  ^ String.concat ", "
-      (List.map (fun (k, v) -> json_string k ^ ": " ^ v) fields)
-  ^ "}"
-
-let json_list items = "[" ^ String.concat ", " items ^ "]"
-let json_bool b = if b then "true" else "false"
+module J = Obs.Json
 
 let status_name (s : Classify.Landscape.status) =
   Fmt.str "%a" Classify.Landscape.pp_status s
@@ -248,13 +222,6 @@ let with_tracing (c : common) f =
     | exception Sys_error m -> Error m
   end
 
-(* Stats cross into protocol frames as the Stats.to_json object,
-   re-parsed so the rendering is the daemon's. *)
-let stats_json st =
-  match P.Json.parse (Reasoner.Stats.to_json st) with
-  | Ok j -> j
-  | Error _ -> P.Json.Null
-
 let print_response resp = Fmt.pr "%s@." (P.render_response resp)
 
 (* ------------------------------------------------------------------ *)
@@ -338,9 +305,13 @@ let eval_cmd =
     let* d = load_instance data in
     let* q = load_query query in
     if explain then
-      Fmt.pr "{\"plans\":[%s]}@."
-        (String.concat ","
-           (List.map (Query.Cq.explain d) (Query.Ucq.disjuncts q)));
+      Fmt.pr "%s@."
+        (J.render
+           (Obj
+              [
+                ( "plans",
+                  Arr (List.map (Query.Cq.explain d) (Query.Ucq.disjuncts q)) );
+              ]));
     let omq = Omq.of_tbox tbox q in
     Reasoner.Stats.reset (Reasoner.Stats.global ());
     let budget = budget_of c in
@@ -348,7 +319,9 @@ let eval_cmd =
     let global = Reasoner.Stats.global () in
     let boolean = Query.Ucq.is_boolean q in
     let names = List.map (List.map element_name) in
-    let proto_stats () = if stats then Some (stats_json global) else None in
+    let proto_stats () =
+      if stats then Some (Reasoner.Stats.to_json global) else None
+    in
     (* A tripped budget: report what was certified before exhaustion and
        where to resume, then exit with the reason's code. *)
     let partial reason (p : Omq.Session.partial_answers) =
@@ -520,17 +493,18 @@ let fig1_cmd =
   let run json =
     if json then
       Fmt.pr "%s@."
-        (json_list
-           (List.map
-              (fun (name, (ev : Classify.Landscape.evidence), expected) ->
-                json_obj
-                  [
-                    ("fragment", json_string name);
-                    ("computed", json_string (status_name ev.status));
-                    ("paper", json_string (status_name expected));
-                    ("match", json_bool (ev.status = expected));
-                  ])
-              Classify.Landscape.figure1))
+        (J.render
+           (Arr
+              (List.map
+                 (fun (name, (ev : Classify.Landscape.evidence), expected) ->
+                   J.Obj
+                     [
+                       ("fragment", Str name);
+                       ("computed", Str (status_name ev.status));
+                       ("paper", Str (status_name expected));
+                       ("match", Bool (ev.status = expected));
+                     ])
+                 Classify.Landscape.figure1)))
     else begin
       Fmt.pr "%-18s %-14s %-14s@." "fragment" "computed" "paper";
       List.iter
@@ -621,41 +595,47 @@ let corpus_cmd =
     | Some reason -> reason_code reason
   in
   let failure_fields (f : Omq.Corpus.failure) =
-    [ ("outcome", json_string (reason_name f.reason)) ]
+    [ ("outcome", J.Str (reason_name f.reason)) ]
+  in
+  (* One JSON object for the batch: the task, the item count and one
+     member list per item, in submission order. *)
+  let print_items task fields report item =
+    Fmt.pr "%s@."
+      (J.render
+         (Obj
+            (("task", J.Str task)
+             :: fields
+            @ [
+                ("count", J.int (List.length report.Omq.Corpus.results));
+                ( "items",
+                  Arr
+                    (List.map
+                       (fun (r : Omq.Corpus.result_one) ->
+                         J.Obj
+                           (("name", Str r.item_name)
+                           ::
+                           (match r.outcome with
+                           | Error f -> failure_fields f
+                           | Ok o -> item o)))
+                       report.Omq.Corpus.results) );
+              ])))
   in
   let render_classify json report =
     if json then
-      Fmt.pr "%s@."
-        (json_obj
-           [
-             ("task", json_string "classify");
-             ("count", string_of_int (List.length report.Omq.Corpus.results));
-             ( "items",
-               json_list
-                 (List.map
-                    (fun (r : Omq.Corpus.result_one) ->
-                      json_obj
-                        (("name", json_string r.item_name)
-                         ::
-                         (match r.outcome with
-                         | Error f -> failure_fields f
-                         | Ok (Omq.Corpus.Evaluated _) -> assert false
-                         | Ok (Omq.Corpus.Classified c) ->
-                             [
-                               ("outcome", json_string "ok");
-                               ("dl_name", json_string c.dl_name);
-                               ("depth", string_of_int c.depth);
-                               ( "fragment",
-                                 match c.fragment with
-                                 | Some d -> json_string (Gf.Fragment.name d)
-                                 | None -> "null" );
-                               ( "status",
-                                 json_string
-                                   (status_name c.evidence.Classify.Landscape.status)
-                               );
-                             ])))
-                    report.Omq.Corpus.results) );
-           ])
+      print_items "classify" [] report (function
+        | Omq.Corpus.Evaluated _ -> assert false
+        | Omq.Corpus.Classified c ->
+            [
+              ("outcome", Str "ok");
+              ("dl_name", Str c.dl_name);
+              ("depth", J.int c.depth);
+              ( "fragment",
+                match c.fragment with
+                | Some d -> Str (Gf.Fragment.name d)
+                | None -> Null );
+              ( "status",
+                Str (status_name c.evidence.Classify.Landscape.status) );
+            ])
     else
       List.iter
         (fun (r : Omq.Corpus.result_one) ->
@@ -676,44 +656,25 @@ let corpus_cmd =
   let render_eval json q report =
     let boolean = Query.Ucq.is_boolean q in
     let json_answers answers =
-      json_list
+      J.Arr
         (List.map
-           (fun t ->
-             json_list (List.map (fun e -> json_string (element_name e)) t))
+           (fun t -> J.Arr (List.map (fun e -> J.Str (element_name e)) t))
            answers)
     in
     if json then
-      Fmt.pr "%s@."
-        (json_obj
-           [
-             ("task", json_string "eval");
-             ("boolean", json_bool boolean);
-             ("count", string_of_int (List.length report.Omq.Corpus.results));
-             ( "items",
-               json_list
-                 (List.map
-                    (fun (r : Omq.Corpus.result_one) ->
-                      json_obj
-                        (("name", json_string r.item_name)
-                         ::
-                         (match r.outcome with
-                         | Error f -> failure_fields f
-                         | Ok (Omq.Corpus.Classified _) -> assert false
-                         | Ok (Omq.Corpus.Evaluated e) ->
-                             ("outcome", json_string "ok")
-                             :: ("consistent", json_bool e.consistent)
-                             ::
-                             (if not e.consistent then []
-                              else if boolean then
-                                [ ("certain", json_bool (e.answers <> [])) ]
-                              else
-                                [
-                                  ( "answer_count",
-                                    string_of_int (List.length e.answers) );
-                                  ("answers", json_answers e.answers);
-                                ]))))
-                    report.Omq.Corpus.results) );
-           ])
+      print_items "eval" [ ("boolean", Bool boolean) ] report (function
+        | Omq.Corpus.Classified _ -> assert false
+        | Omq.Corpus.Evaluated e ->
+            ("outcome", J.Str "ok")
+            :: ("consistent", Bool e.consistent)
+            ::
+            (if not e.consistent then []
+             else if boolean then [ ("certain", Bool (e.answers <> [])) ]
+             else
+               [
+                 ("answer_count", J.int (List.length e.answers));
+                 ("answers", json_answers e.answers);
+               ]))
     else
       List.iter
         (fun (r : Omq.Corpus.result_one) ->
@@ -1171,22 +1132,23 @@ let loadgen_cmd =
     let* s = Omqd.Loadgen.run addr (List.init (max clients 1) (fun _ -> spec)) ~queries in
     if c.json then
       print_endline
-        (json_obj
-           [
-             ("clients", string_of_int s.Omqd.Loadgen.clients);
-             ("queries_per_client", string_of_int s.queries_per_client);
-             ("total", string_of_int s.total);
-             ("ok", string_of_int s.ok);
-             ("tripped", string_of_int s.tripped);
-             ("errors", string_of_int s.errors);
-             ("mismatches", string_of_int s.mismatches);
-             ("connect_failures", string_of_int s.connect_failures);
-             ("io_failures", string_of_int s.io_failures);
-             ("seconds", Printf.sprintf "%.6f" s.seconds);
-             ("throughput_rps", Printf.sprintf "%.3f" s.throughput_rps);
-             ("p50_ms", Printf.sprintf "%.3f" s.p50_ms);
-             ("p99_ms", Printf.sprintf "%.3f" s.p99_ms);
-           ])
+        (J.render
+           (Obj
+              [
+                ("clients", J.int s.Omqd.Loadgen.clients);
+                ("queries_per_client", J.int s.queries_per_client);
+                ("total", J.int s.total);
+                ("ok", J.int s.ok);
+                ("tripped", J.int s.tripped);
+                ("errors", J.int s.errors);
+                ("mismatches", J.int s.mismatches);
+                ("connect_failures", J.int s.connect_failures);
+                ("io_failures", J.int s.io_failures);
+                ("seconds", Num s.seconds);
+                ("throughput_rps", Num s.throughput_rps);
+                ("p50_ms", Num s.p50_ms);
+                ("p99_ms", Num s.p99_ms);
+              ]))
     else Fmt.pr "%a@." Omqd.Loadgen.pp_summary s;
     Ok 0
   in
@@ -1227,7 +1189,6 @@ let top_cmd =
       & info [ "once" ]
           ~doc:"Print a single frame and exit (no screen clearing).")
   in
-  let module J = P.Json in
   let jnum ?(default = Float.nan) name j =
     match J.member name j with Some (J.Num n) -> n | _ -> default
   in

@@ -17,31 +17,9 @@
     ["out_of_fuel"] ({!Partial} / {!Decide_partial}), mirroring the CLI
     exit codes 124 / 125, and the daemon keeps serving. *)
 
-(** The JSON values of the wire format, with a total parser — the
-    toolchain ships no JSON library, so this is the repository's one
-    (rendering shared with {!Obs.Json}). *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list  (** member order is preserved *)
-
-  (** Compact one-line rendering (no spaces); integral numbers render
-      without a fraction, others with ["%.17g"] (round-trip exact). *)
-  val render : t -> string
-
-  (** Parse one JSON document; trailing garbage, unterminated input and
-      nesting deeper than 512 are errors ([Error "offset N: msg"]). *)
-  val parse : string -> (t, string) result
-
-  (** Member of an object, if present ([None] on non-objects too). *)
-  val member : string -> t -> t option
-
-  val equal : t -> t -> bool
-end
+(** The JSON values of the wire format: the repository's one JSON tree,
+    renderer and parser, {!Obs.Json}, under its protocol name. *)
+module Json = Obs.Json
 
 (** The newest protocol version this build speaks (v2 added
     [retract_facts]). Frames are rendered at [version]. *)
@@ -208,7 +186,7 @@ val response_to_json : ?id:int -> response -> Json.t
 val response_of_json : Json.t -> response decoded
 
 (** One-line string forms ([render_*] append no newline; [parse_*]
-    combine {!Json.parse} — a parse failure is [Bad_frame] — with
+    combine the JSON parser — a parse failure is [Bad_frame] — with
     [*_of_json]). *)
 
 val render_request : ?id:int -> request -> string

@@ -18,17 +18,19 @@ let format_of_string = function
   | "jsonl" -> Some Jsonl
   | _ -> None
 
-let attr_json = function
-  | Trace.Str s -> Json.escape s
-  | Trace.Int i -> string_of_int i
-  | Trace.Float f -> Json.number f
-  | Trace.Bool b -> if b then "true" else "false"
+let attr_json : Trace.attr -> Json.t = function
+  | Trace.Str s -> Str s
+  | Trace.Int i -> Json.int i
+  | Trace.Float f -> Num f
+  | Trace.Bool b -> Bool b
 
-let args_json attrs status =
-  Json.obj
-    ((match status with
-     | Some st -> [ ("status", Json.escape st) ]
-     | None -> [])
+let status_member = function
+  | Some st -> [ ("status", Json.Str st) ]
+  | None -> []
+
+let args_json attrs status : Json.t =
+  Obj
+    (status_member status
     @ List.rev_map (fun (k, v) -> (k, attr_json v)) attrs)
 
 (* Category: the dotted prefix of the span name ("engine.solve" ->
@@ -48,20 +50,20 @@ let epoch c =
 
 let us t0 t = (t -. t0) *. 1e6
 
-let chrome c =
+let chrome c : Json.t =
   let t0 = epoch c in
   let span_events =
     List.map
-      (fun (s : Trace.span) ->
-        Json.obj
+      (fun (s : Trace.span) : Json.t ->
+        Obj
           [
-            ("name", Json.escape s.name);
-            ("cat", Json.escape (category s.name));
-            ("ph", Json.escape "X");
-            ("ts", Json.number (us t0 s.start_s));
-            ("dur", Json.number (Float.max 0.0 s.dur_s *. 1e6));
-            ("pid", "1");
-            ("tid", "1");
+            ("name", Str s.name);
+            ("cat", Str (category s.name));
+            ("ph", Str "X");
+            ("ts", Num (us t0 s.start_s));
+            ("dur", Num (Float.max 0.0 s.dur_s *. 1e6));
+            ("pid", Json.int 1);
+            ("tid", Json.int 1);
             ( "args",
               args_json
                 (("span_id", Trace.Int s.id)
@@ -73,70 +75,66 @@ let chrome c =
   in
   let instant_events =
     List.map
-      (fun (e : Trace.event) ->
-        Json.obj
+      (fun (e : Trace.event) : Json.t ->
+        Obj
           [
-            ("name", Json.escape e.ename);
-            ("cat", Json.escape "event");
-            ("ph", Json.escape "i");
-            ("ts", Json.number (us t0 e.ts_s));
-            ("s", Json.escape "t");
-            ("pid", "1");
-            ("tid", "1");
+            ("name", Str e.ename);
+            ("cat", Str "event");
+            ("ph", Str "i");
+            ("ts", Num (us t0 e.ts_s));
+            ("s", Str "t");
+            ("pid", Json.int 1);
+            ("tid", Json.int 1);
             ("args", args_json (("span_id", Trace.Int e.span_id) :: e.eattrs) None);
           ])
       (Trace.events c)
   in
-  Json.obj
+  Obj
     [
-      ("traceEvents", Json.arr (span_events @ instant_events));
-      ("displayTimeUnit", Json.escape "ms");
+      ("traceEvents", Arr (span_events @ instant_events));
+      ("displayTimeUnit", Str "ms");
       ("otherData",
-       Json.obj
+       Obj
          [
-           ("spans", string_of_int (Trace.span_count c));
-           ("events_retained", string_of_int (List.length (Trace.events c)));
-           ("events_dropped", string_of_int (Trace.dropped_events c));
+           ("spans", Json.int (Trace.span_count c));
+           ("events_retained", Json.int (List.length (Trace.events c)));
+           ("events_dropped", Json.int (Trace.dropped_events c));
          ]);
     ]
 
 (* One span per line: {"name","span_id","parent_id","start_us","dur_us",
    "status"?, ...attrs}. Events follow as {"event":...} lines. *)
-let jsonl c =
+let jsonl c : Json.t list =
   let t0 = epoch c in
-  let b = Buffer.create 1024 in
-  List.iter
-    (fun (s : Trace.span) ->
-      Buffer.add_string b
-        (Json.obj
-           ([
-              ("name", Json.escape s.name);
-              ("span_id", string_of_int s.id);
-              ("parent_id", string_of_int s.parent);
-              ("start_us", Json.number (us t0 s.start_s));
-              ("dur_us", Json.number (Float.max 0.0 s.dur_s *. 1e6));
-            ]
-           @ (match s.status with
-             | Some st -> [ ("status", Json.escape st) ]
-             | None -> [])
-           @ List.rev_map (fun (k, v) -> (k, attr_json v)) s.attrs));
-      Buffer.add_char b '\n')
-    (Trace.spans c);
-  List.iter
-    (fun (e : Trace.event) ->
-      Buffer.add_string b
-        (Json.obj
-           ([
-              ("event", Json.escape e.ename);
-              ("span_id", string_of_int e.span_id);
-              ("ts_us", Json.number (us t0 e.ts_s));
-            ]
-           @ List.map (fun (k, v) -> (k, attr_json v)) e.eattrs));
-      Buffer.add_char b '\n')
-    (Trace.events c);
-  Buffer.contents b
+  List.map
+    (fun (s : Trace.span) : Json.t ->
+      Obj
+        ([
+           ("name", Json.Str s.name);
+           ("span_id", Json.int s.id);
+           ("parent_id", Json.int s.parent);
+           ("start_us", Json.Num (us t0 s.start_s));
+           ("dur_us", Json.Num (Float.max 0.0 s.dur_s *. 1e6));
+         ]
+        @ status_member s.status
+        @ List.rev_map (fun (k, v) -> (k, attr_json v)) s.attrs))
+    (Trace.spans c)
+  @ List.map
+      (fun (e : Trace.event) : Json.t ->
+        Obj
+          ([
+             ("event", Json.Str e.ename);
+             ("span_id", Json.int e.span_id);
+             ("ts_us", Json.Num (us t0 e.ts_s));
+           ]
+          @ List.map (fun (k, v) -> (k, attr_json v)) e.eattrs))
+      (Trace.events c)
 
-let render = function Chrome -> chrome | Jsonl -> jsonl
+let render fmt c =
+  match fmt with
+  | Chrome -> Json.render (chrome c)
+  | Jsonl ->
+      String.concat "" (List.map (fun j -> Json.render j ^ "\n") (jsonl c))
 
 let to_file fmt c path =
   let oc = open_out path in

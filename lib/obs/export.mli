@@ -13,12 +13,14 @@ val format_of_string : string -> format option
     [status] — and one instant ("i") event per retained ring-buffer
     event. Timestamps are microseconds from the collector's earliest
     record. *)
-val chrome : Trace.t -> string
+val chrome : Trace.t -> Json.t
 
-(** One JSON object per line: spans first (in opening order), then the
-    retained events. *)
-val jsonl : Trace.t -> string
+(** The JSONL objects, one per output line: spans first (in opening
+    order), then the retained events. *)
+val jsonl : Trace.t -> Json.t list
 
+(** The file contents: the rendered Chrome object, or one rendered
+    JSONL object per newline-terminated line. *)
 val render : format -> Trace.t -> string
 
 (** Render and write to [path]. *)

@@ -51,10 +51,10 @@ let level () = cfg.min_level
 let enabled l = severity l >= severity cfg.min_level
 
 let field_json = function
-  | Str (k, v) -> (k, Json.escape v)
-  | Int (k, v) -> (k, string_of_int v)
-  | Float (k, v) -> (k, Json.number v)
-  | Bool (k, v) -> (k, string_of_bool v)
+  | Str (k, v) -> (k, Json.Str v)
+  | Int (k, v) -> (k, Json.int v)
+  | Float (k, v) -> (k, Json.Num v)
+  | Bool (k, v) -> (k, Json.Bool v)
 
 let field_text = function
   | Str (k, v) ->
@@ -67,13 +67,12 @@ let field_text = function
 let render level msg fields =
   match cfg.fmt with
   | Json ->
-      let members =
-        ("ts", Json.number (Clock.now ()))
-        :: ("level", Json.escape (level_to_string level))
-        :: ("msg", Json.escape msg)
-        :: List.map field_json fields
-      in
-      Json.obj members
+      Json.render
+        (Obj
+           (("ts", Num (Clock.now ()))
+           :: ("level", Str (level_to_string level))
+           :: ("msg", Str msg)
+           :: List.map field_json fields))
   | Text ->
       let parts =
         Printf.sprintf "omqd: [%s] %s" (level_to_string level) msg

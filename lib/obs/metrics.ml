@@ -216,30 +216,26 @@ let merge_snapshots snaps =
 (* Rendering                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* %.17g round-trips every float; counters stay integers. *)
-let json_of_metric = function
-  | Counter r -> string_of_int !r
-  | Gauge r -> Printf.sprintf "%.17g" !r
+let json_of_metric : metric -> Json.t = function
+  | Counter r -> Json.int !r
+  | Gauge r -> Num !r
   | Histogram h ->
-      if h.count = 0 then "{\"count\":0,\"sum\":0}"
+      if h.count = 0 then Obj [ ("count", Num 0.0); ("sum", Num 0.0) ]
       else
-        Printf.sprintf
-          "{\"count\":%d,\"sum\":%.17g,\"min\":%.17g,\"max\":%.17g,\"mean\":%.17g}"
-          h.count h.sum h.min_v h.max_v
-          (h.sum /. float_of_int h.count)
+        Obj
+          [
+            ("count", Json.int h.count);
+            ("sum", Num h.sum);
+            ("min", Num h.min_v);
+            ("max", Num h.max_v);
+            ("mean", Num (h.sum /. float_of_int h.count));
+          ]
 
-let to_json t =
-  let b = Buffer.create 256 in
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i name ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Json.escape name);
-      Buffer.add_char b ':';
-      Buffer.add_string b (json_of_metric (Hashtbl.find t.table name)))
-    (names t);
-  Buffer.add_char b '}';
-  Buffer.contents b
+let to_json t : Json.t =
+  Obj
+    (List.map
+       (fun name -> (name, json_of_metric (Hashtbl.find t.table name)))
+       (names t))
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>%a@]"

@@ -189,14 +189,12 @@ let explain inst q =
   let plan = Structure.Eval.make_plan idx atoms in
   let vars = Array.make (SMap.cardinal var_ix) "" in
   SMap.iter (fun v i -> vars.(i) <- v) var_ix;
-  Printf.sprintf "{\"query\":\"%s\",\"vars\":[%s],\"plan\":%s}"
-    (Structure.Eval.json_escape q.name)
-    (String.concat ","
-       (Array.to_list
-          (Array.map
-             (fun v -> "\"" ^ Structure.Eval.json_escape v ^ "\"")
-             vars)))
-    (Structure.Eval.explain_json plan)
+  Obs.Json.Obj
+    [
+      ("query", Str q.name);
+      ("vars", Arr (Array.to_list (Array.map (fun v -> Obs.Json.Str v) vars)));
+      ("plan", Structure.Eval.explain_json plan);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Shape analysis                                                       *)

@@ -97,33 +97,36 @@ let pp ppf t =
     t.memo_misses t.budget_timeouts t.budget_fuel_trips
 
 (* Field order and key names are the documented schema (stats.mli):
-   keep both stable — bench/CI consumers select keys with jq. *)
-let to_json t =
-  Printf.sprintf
-    "{\"groundings\":%d,\"solves\":%d,\"decisions\":%d,\"propagations\":%d,\
-     \"conflicts\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\
-     \"memo_hits\":%d,\"memo_misses\":%d,\
-     \"budget_timeouts\":%d,\"budget_fuel_trips\":%d,\
-     \"ground_seconds\":%.6f,\"solve_seconds\":%.6f}"
-    t.groundings t.solves t.decisions t.propagations t.conflicts t.cache_hits
-    t.cache_misses t.memo_hits t.memo_misses t.budget_timeouts
-    t.budget_fuel_trips t.ground_seconds t.solve_seconds
+   keep both stable — bench/CI consumers select keys with jq, and the
+   metric names [publish] writes are the same keys. *)
+let counts t =
+  [
+    ("groundings", t.groundings);
+    ("solves", t.solves);
+    ("decisions", t.decisions);
+    ("propagations", t.propagations);
+    ("conflicts", t.conflicts);
+    ("cache_hits", t.cache_hits);
+    ("cache_misses", t.cache_misses);
+    ("memo_hits", t.memo_hits);
+    ("memo_misses", t.memo_misses);
+    ("budget_timeouts", t.budget_timeouts);
+    ("budget_fuel_trips", t.budget_fuel_trips);
+  ]
 
-(* Publish a snapshot into a metrics registry under [prefix].<field>,
-   with the same snake_case field names as the JSON schema. Absolute
-   writes, so re-publication is idempotent. *)
+let seconds t =
+  [ ("ground_seconds", t.ground_seconds); ("solve_seconds", t.solve_seconds) ]
+
+(* Seconds keep the schema's six decimal places (stats.mli). *)
+let to_json t : Obs.Json.t =
+  let secs f = Obs.Json.Num (float_of_string (Printf.sprintf "%.6f" f)) in
+  Obj
+    (List.map (fun (k, v) -> (k, Obs.Json.int v)) (counts t)
+    @ List.map (fun (k, f) -> (k, secs f)) (seconds t))
+
+(* Publish a snapshot into a metrics registry under [prefix].<field>.
+   Absolute writes, so re-publication is idempotent. *)
 let publish ?(prefix = "reasoner") ?(into = Obs.Metrics.global ()) t =
-  let count name v = Obs.Metrics.set_count into (prefix ^ "." ^ name) v in
-  count "groundings" t.groundings;
-  count "solves" t.solves;
-  count "decisions" t.decisions;
-  count "propagations" t.propagations;
-  count "conflicts" t.conflicts;
-  count "cache_hits" t.cache_hits;
-  count "cache_misses" t.cache_misses;
-  count "memo_hits" t.memo_hits;
-  count "memo_misses" t.memo_misses;
-  count "budget_timeouts" t.budget_timeouts;
-  count "budget_fuel_trips" t.budget_fuel_trips;
-  Obs.Metrics.set into (prefix ^ ".ground_seconds") t.ground_seconds;
-  Obs.Metrics.set into (prefix ^ ".solve_seconds") t.solve_seconds
+  let name k = prefix ^ "." ^ k in
+  List.iter (fun (k, v) -> Obs.Metrics.set_count into (name k) v) (counts t);
+  List.iter (fun (k, f) -> Obs.Metrics.set into (name k) f) (seconds t)

@@ -39,7 +39,8 @@ val timed : (float -> unit) -> (unit -> 'a) -> 'a
 
 val pp : t Fmt.t
 
-(** One-line JSON object with every field of {!t}.
+(** Every field of {!t} as a JSON object tree; callers that need bytes
+    render it with {!Obs.Json.render}.
 
     The schema is stable — bench and CI consumers select keys with jq,
     so adding a field is fine but renaming or removing one is a
@@ -50,9 +51,9 @@ val pp : t Fmt.t
     - ["cache_hits"], ["cache_misses"] : integers
     - ["memo_hits"], ["memo_misses"] : integers (grounding-memo traffic)
     - ["budget_timeouts"], ["budget_fuel_trips"] : integers
-    - ["ground_seconds"], ["solve_seconds"] : numbers (seconds, 6
-      decimal places) *)
-val to_json : t -> string
+    - ["ground_seconds"], ["solve_seconds"] : numbers (seconds, rounded
+      to 6 decimal places) *)
+val to_json : t -> Obs.Json.t
 
 (** [publish ?prefix ?into t] writes a snapshot of [t] into an
     {!Obs.Metrics} registry (default {!Obs.Metrics.global}) as

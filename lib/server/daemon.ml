@@ -311,11 +311,6 @@ let stats_delta (a : S.t) (b : S.t) : S.t =
   d.solve_seconds <- b.solve_seconds -. a.solve_seconds;
   d
 
-(* Stats cross the wire as the Stats.to_json object, re-parsed into the
-   protocol's Json so responses round-trip exactly. *)
-let stats_json st =
-  match P.Json.parse (S.to_json st) with Ok j -> j | Error _ -> P.Json.Null
-
 (* ------------------------------------------------------------------ *)
 (* Worker jobs. Each returns (response, session-table effect); raising
    is reserved for bugs and is mapped to a typed Internal response by
@@ -441,7 +436,7 @@ let eval_job st (se : sess) (want : P.budget_spec) want_stats () =
   let boolean = Query.Ucq.is_boolean se.omq.Omq.query in
   let names = List.map (List.map element_name) in
   let stats () =
-    if want_stats then Some (stats_json (stats_delta before (S.copy g)))
+    if want_stats then Some (S.to_json (stats_delta before (S.copy g)))
     else None
   in
   let partial reason (p : Omq.Session.partial_answers) =
@@ -619,7 +614,7 @@ let serve_counters () =
       (fun name ->
         if String.length name >= 6 && String.sub name 0 6 = "serve." then
           match Obs.Metrics.counter_value g name with
-          | Some v -> Some (name, P.Json.Num (float_of_int v))
+          | Some v -> Some (name, P.Json.int v)
           | None -> None
         else None)
       (Obs.Metrics.names g)
@@ -645,7 +640,7 @@ let server_stats st =
         (match st.journal with Some j -> Journal.size j | None -> 0);
       journal_entries = journal_entry_count ();
       counters = serve_counters ();
-      reasoner = stats_json total;
+      reasoner = S.to_json total;
     }
 
 (* ------------------------------------------------------------------ *)
@@ -671,46 +666,44 @@ let quantile_ms name q =
   Obs.Metrics.quantile (Obs.Metrics.global ()) name q
   |> Option.map (fun s -> s *. 1000.0)
 
-let jnum_opt = function
-  | Some v -> Obs.Json.number v
-  | None -> "null"
-
-let telemetry_json st =
+let telemetry_json st : P.Json.t =
   let now = Obs.Clock.now () in
   let jobs = Parallel.Service.jobs st.service in
-  let worker_row w =
+  let int = P.Json.int in
+  let num_opt = Option.fold ~none:P.Json.Null ~some:(fun v -> P.Json.Num v) in
+  let worker_row w : P.Json.t =
     let snap = st.worker_msnaps.(w) in
-    Obs.Json.obj
+    Obj
       [
-        ("domain", string_of_int w);
-        ("sessions", string_of_int (worker_sessions st w));
-        ("requests", string_of_int st.served_by_worker.(w));
+        ("domain", int w);
+        ("sessions", int (worker_sessions st w));
+        ("requests", int st.served_by_worker.(w));
         ( "busy_s",
-          match Parallel.Service.busy_since st.service ~worker:w with
-          | Some t -> Obs.Json.number (now -. t)
-          | None -> "null" );
-        ("gc_major_words", jnum_opt (snap_gauge snap "gc.major_words"));
+          num_opt
+            (Option.map
+               (fun t -> now -. t)
+               (Parallel.Service.busy_since st.service ~worker:w)) );
+        ("gc_major_words", num_opt (snap_gauge snap "gc.major_words"));
         ( "gc_minor_collections",
-          jnum_opt (snap_gauge snap "gc.minor_collections") );
+          num_opt (snap_gauge snap "gc.minor_collections") );
       ]
   in
-  let extra =
+  let extra : (string * P.Json.t) list =
     [
-      ("ts", Obs.Json.number now);
-      ("version", Obs.Json.escape version);
-      ("uptime_s", Obs.Json.number (now -. st.start_s));
-      ("sessions", string_of_int (Hashtbl.length st.sessions));
-      ("inflight", string_of_int (Parallel.Service.in_flight st.service));
-      ("served", string_of_int st.served);
-      ("errors", string_of_int st.errors);
-      ("journal_bytes",
-       string_of_int
-         (match st.journal with Some j -> Journal.size j | None -> 0));
-      ("journal_entries", string_of_int (journal_entry_count ()));
-      ("p50_ms", jnum_opt (quantile_ms "serve.request.seconds" 0.50));
-      ("p95_ms", jnum_opt (quantile_ms "serve.request.seconds" 0.95));
-      ("p99_ms", jnum_opt (quantile_ms "serve.request.seconds" 0.99));
-      ("workers", Obs.Json.arr (List.init jobs worker_row));
+      ("ts", Num now);
+      ("version", Str version);
+      ("uptime_s", Num (now -. st.start_s));
+      ("sessions", int (Hashtbl.length st.sessions));
+      ("inflight", int (Parallel.Service.in_flight st.service));
+      ("served", int st.served);
+      ("errors", int st.errors);
+      ( "journal_bytes",
+        int (match st.journal with Some j -> Journal.size j | None -> 0) );
+      ("journal_entries", int (journal_entry_count ()));
+      ("p50_ms", num_opt (quantile_ms "serve.request.seconds" 0.50));
+      ("p95_ms", num_opt (quantile_ms "serve.request.seconds" 0.95));
+      ("p99_ms", num_opt (quantile_ms "serve.request.seconds" 0.99));
+      ("workers", Arr (List.init jobs worker_row));
     ]
   in
   Telemetry.to_json ~extra st.flight
@@ -805,7 +798,7 @@ let http_route st line =
           ~content_type:"text/plain; version=0.0.4; charset=utf-8" (scrape st)
       else if path = "/telemetry" then
         http_response ~status:"200 OK" ~content_type:"application/json"
-          (telemetry_json st ^ "\n")
+          (P.Json.render (telemetry_json st) ^ "\n")
       else
         http_response ~status:"404 Not Found" ~content_type:"text/plain"
           "not found; try /metrics or /telemetry\n"
@@ -931,12 +924,7 @@ let dispatch st conn rid (req : P.request) =
                 ~op:"retract_facts" (retract_job se session facts))
   | P.Stats -> respond st conn rid (server_stats st)
   | P.Dump_telemetry ->
-      let telemetry =
-        match P.Json.parse (telemetry_json st) with
-        | Ok j -> j
-        | Error _ -> P.Json.Null
-      in
-      respond st conn rid (P.Telemetry { telemetry })
+      respond st conn rid (P.Telemetry { telemetry = telemetry_json st })
   | P.Shutdown ->
       st.shutting <- true;
       st.shut_deadline <- Obs.Clock.now () +. st.cfg.shutdown_grace;
@@ -1427,7 +1415,7 @@ let run ?(ready = fun () -> ()) cfg =
       (* The flight dump: to --flight-dump when set (write-whole-file;
          a dump is small and rare), else one JSON line on stderr. *)
       let dump_flight () =
-        let doc = telemetry_json st ^ "\n" in
+        let doc = P.Json.render (telemetry_json st) ^ "\n" in
         match cfg.flight_dump with
         | Some path -> (
             try

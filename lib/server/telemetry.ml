@@ -57,24 +57,24 @@ let records t =
 let total t = t.total
 let dropped t = max 0 (t.total - Array.length t.ring)
 
-let record_json r =
-  Obs.Json.obj
+let record_json r : Obs.Json.t =
+  Obj
     [
-      ("ts", Obs.Json.number r.ts_s);
-      ("op", Obs.Json.escape r.op);
-      ("outcome", Obs.Json.escape r.outcome);
-      ("worker", string_of_int r.worker);
-      ("session", string_of_int r.session);
-      ("dur_ms", Obs.Json.number (r.dur_s *. 1000.0));
+      ("ts", Num r.ts_s);
+      ("op", Str r.op);
+      ("outcome", Str r.outcome);
+      ("worker", Obs.Json.int r.worker);
+      ("session", Obs.Json.int r.session);
+      ("dur_ms", Num (r.dur_s *. 1000.0));
     ]
 
 (* The dump is one object so extra context (per-worker rows, quantiles)
-   can ride along: callers pass pre-rendered extra members. *)
-let to_json ?(extra = []) t =
-  Obs.Json.obj
+   can ride along as [extra] members. *)
+let to_json ?(extra = []) t : Obs.Json.t =
+  Obj
     (extra
     @ [
-        ("flight_total", string_of_int t.total);
-        ("flight_dropped", string_of_int (dropped t));
-        ("flight", Obs.Json.arr (List.map record_json (records t)));
+        ("flight_total", Obs.Json.int t.total);
+        ("flight_dropped", Obs.Json.int (dropped t));
+        ("flight", Arr (List.map record_json (records t)));
       ])

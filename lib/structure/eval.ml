@@ -173,39 +173,32 @@ let make_plan idx ?(bound = []) atoms =
   if Obs.Trace.enabled () then emit_plan_span plan;
   plan
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let explain_json plan =
-  let step_json s =
+let explain_json plan : Obs.Json.t =
+  let int = Obs.Json.int in
+  let step_json s : Obs.Json.t =
     let a = plan.atoms.(s.atom_ix) in
     let bound =
-      let l = ref [] in
-      for p = Array.length a.args - 1 downto 0 do
-        if s.mask land (1 lsl p) <> 0 then l := string_of_int p :: !l
-      done;
-      String.concat "," !l
+      List.filter
+        (fun p -> s.mask land (1 lsl p) <> 0)
+        (List.init (Array.length a.args) Fun.id)
     in
-    Printf.sprintf
-      "{\"atom\":%d,\"body\":\"%s\",\"rel\":\"%s\",\"access\":\"%s\",\"bound\":[%s],\"est_rows\":%g,\"rel_size\":%d}"
-      s.atom_ix
-      (json_escape (Fmt.str "%a" pp_atom a))
-      (json_escape a.rel) (access_label s.access) bound s.est s.rel_size
+    Obj
+      [
+        ("atom", int s.atom_ix);
+        ("body", Str (Fmt.str "%a" pp_atom a));
+        ("rel", Str a.rel);
+        ("access", Str (access_label s.access));
+        ("bound", Arr (List.map int bound));
+        ("est_rows", Num s.est);
+        ("rel_size", int s.rel_size);
+      ]
   in
-  Printf.sprintf "{\"nvars\":%d,\"atoms\":%d,\"order\":[%s]}" plan.nvars
-    (Array.length plan.atoms)
-    (String.concat "," (List.map step_json plan.order))
+  Obj
+    [
+      ("nvars", int plan.nvars);
+      ("atoms", int (Array.length plan.atoms));
+      ("order", Arr (List.map step_json plan.order));
+    ]
 
 exception Stop
 

@@ -46,11 +46,7 @@ type plan = { atoms : atom array; order : step list; nvars : int }
 val make_plan : Relindex.t -> ?bound:int list -> atom list -> plan
 
 (** The chosen order, access paths and estimates as a JSON object. *)
-val explain_json : plan -> string
-
-(** Escape a string for inclusion in a JSON string literal (used by
-    callers composing {!explain_json} into larger objects). *)
-val json_escape : string -> string
+val explain_json : plan -> Obs.Json.t
 
 (** [fold idx plan ~bindings f init] enumerates every assignment of the
     plan's variables satisfying all atoms, depth-first in plan order.

@@ -3,9 +3,9 @@
 
    - spans collected from a real traced run are structurally
      well-formed (every span closed, children inside their parents);
-   - the Chrome export is valid JSON (checked by round-tripping it
-     through a JSON parser written below — the toolchain ships none)
+   - the Chrome export is valid JSON (its rendered bytes parse back)
      and preserves span count and parentage;
+   - the JSON renderer writes the pinned bytes for escapes and numbers;
    - the event ring buffer drops the OLDEST events at capacity and
      reports how many were dropped;
    - with no collector installed, instrumented code computes
@@ -21,154 +21,26 @@ module Export = Obs.Export
 let check = Alcotest.check
 
 (* ------------------------------------------------------------------ *)
-(* A minimal JSON parser: enough to validate the exporters' output.
-   Numbers are floats; no unicode unescaping beyond \uXXXX skipping. *)
+(* Exporter output is checked through its bytes: rendered, then read
+   back with the JSON parser. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
-exception Bad_json of string
+module Json = Obs.Json
 
 let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail m = raise (Bad_json (Printf.sprintf "%s at %d" m !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail ("expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some 'n' -> Buffer.add_char b '\n'; advance (); go ()
-          | Some 't' -> Buffer.add_char b '\t'; advance (); go ()
-          | Some 'r' -> Buffer.add_char b '\r'; advance (); go ()
-          | Some 'u' ->
-              advance ();
-              pos := !pos + 4;
-              Buffer.add_char b '?';
-              go ()
-          | Some c -> Buffer.add_char b c; advance (); go ()
-          | None -> fail "bad escape")
-      | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> num_char c | None -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          Obj (members [])
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          List (items [])
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "empty input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+  match Json.parse s with
+  | Ok j -> j
+  | Error m -> Alcotest.failf "invalid JSON: %s" m
 
-let member k = function
-  | Obj fields -> List.assoc k fields
-  | _ -> raise (Bad_json ("no member " ^ k))
+let reparse j = parse_json (Json.render j)
 
-let as_list = function List l -> l | _ -> raise (Bad_json "not a list")
-let as_str = function Str s -> s | _ -> raise (Bad_json "not a string")
-let as_num = function Num f -> f | _ -> raise (Bad_json "not a number")
+let member k j =
+  match Json.member k j with
+  | Some v -> v
+  | None -> Alcotest.failf "no member %s" k
+
+let as_list = function Json.Arr l -> l | _ -> Alcotest.fail "not an array"
+let as_str = function Json.Str s -> s | _ -> Alcotest.fail "not a string"
+let as_num = function Json.Num f -> f | _ -> Alcotest.fail "not a number"
 
 (* ------------------------------------------------------------------ *)
 (* Workload: the disjunctive OMQ of the budget tests — it grounds,
@@ -245,7 +117,7 @@ let test_exception_closes () =
 
 let test_chrome_round_trip () =
   let _, c = traced_answers () in
-  let json = parse_json (Export.chrome c) in
+  let json = reparse (Export.chrome c) in
   let events = as_list (member "traceEvents" json) in
   let complete =
     List.filter (fun ev -> as_str (member "ph" ev) = "X") events
@@ -276,7 +148,7 @@ let test_chrome_round_trip () =
 let test_jsonl_round_trip () =
   let _, c = traced_answers () in
   let lines =
-    String.split_on_char '\n' (String.trim (Export.jsonl c))
+    String.split_on_char '\n' (String.trim (Export.render Export.Jsonl c))
   in
   check Alcotest.int "one line per span and event"
     (Trace.span_count c + List.length (Trace.events c))
@@ -343,7 +215,7 @@ let test_budget_trip_trace_closed () =
        (fun (s : Trace.span) -> s.Trace.status = Some "out_of_fuel")
        roots);
   (* and the trace still exports as valid JSON *)
-  let json = parse_json (Export.chrome c) in
+  let json = reparse (Export.chrome c) in
   Alcotest.(check bool)
     "budget_trip event exported" true
     (List.exists
@@ -394,7 +266,7 @@ let test_metrics_registry () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "expected Invalid_argument on kind mismatch");
   (* the JSON export parses and carries every name *)
-  let json = parse_json (Metrics.to_json m) in
+  let json = reparse (Metrics.to_json m) in
   List.iter
     (fun name -> ignore (member name json))
     (Metrics.names m)
@@ -416,12 +288,28 @@ let test_stats_publish () =
     "seconds gauge" (Some 0.5)
     (Metrics.gauge_value m "t.solve_seconds");
   (* the Stats JSON itself parses, with the documented keys *)
-  let json = parse_json (Reasoner.Stats.to_json st) in
+  let json = reparse (Reasoner.Stats.to_json st) in
   List.iter
     (fun k -> ignore (member k json))
     [ "groundings"; "solves"; "decisions"; "propagations"; "conflicts";
       "cache_hits"; "cache_misses"; "budget_timeouts"; "budget_fuel_trips";
       "ground_seconds"; "solve_seconds" ]
+
+(* The renderer's exact bytes: short escapes, a \u escape for other
+   control bytes, high bytes passed through, integral numbers bare below
+   1e15 and %.17g from there on, non-finite numbers as null. *)
+let test_render_golden () =
+  check Alcotest.string "string escapes"
+    ({|"q\"b\\n\nr\rt\tc\u0001h|} ^ "\xc3\xa9\"")
+    (Json.render (Json.Str "q\"b\\n\nr\rt\tc\001h\xc3\xa9"));
+  check Alcotest.string "numbers"
+    "[42,-7,0.5,0.10000000000000001,999999999999999,1000000000000000,1e+17,-0,null,null]"
+    (Json.render
+       (Json.Arr
+          (List.map
+             (fun f -> Json.Num f)
+             [ 42.0; -7.0; 0.5; 0.1; 999999999999999.0; 1e15; 1e17; -0.0;
+               Float.nan; Float.neg_infinity ])))
 
 let suite =
   [
@@ -445,4 +333,5 @@ let suite =
     Alcotest.test_case "metrics registry: kinds, idempotence, JSON" `Quick
       test_metrics_registry;
     Alcotest.test_case "stats publish into metrics" `Quick test_stats_publish;
+    Alcotest.test_case "json renderer golden bytes" `Quick test_render_golden;
   ]

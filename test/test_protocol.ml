@@ -1,6 +1,7 @@
-(* The wire codec: random round-trips through the hand-rolled JSON
-   layer, rejection of malformed/oversized/wrong-version frames, and the
-   literal renderings the CLI compatibility contract pins down. *)
+(* The wire codec: random round-trips through the JSON layer, byte-
+   mutation fuzzing of frames and journal lines, rejection of
+   malformed/oversized/wrong-version frames, and the literal renderings
+   the CLI compatibility contract pins down. *)
 
 module P = Omq.Protocol
 
@@ -195,6 +196,21 @@ let test_response_roundtrip_id =
       | Ok (Some id', resp') -> id = id' && P.equal_response resp resp'
       | _ -> false)
 
+(* Strings of code points above U+FFFF (4-byte UTF-8). *)
+let gen_astral =
+  QCheck.Gen.(
+    list_size (int_range 1 4) (int_range 0x10000 0x10FFFF) >|= fun cps ->
+    let b = Buffer.create 16 in
+    List.iter (fun cp -> Buffer.add_utf_8_uchar b (Uchar.of_int cp)) cps;
+    Buffer.contents b)
+
+(* JSON has no NaN or infinity: they render as null. *)
+let rec finite = function
+  | P.Json.Num f when not (Float.is_finite f) -> P.Json.Null
+  | P.Json.Arr xs -> P.Json.Arr (List.map finite xs)
+  | P.Json.Obj ms -> P.Json.Obj (List.map (fun (k, v) -> (k, finite v)) ms)
+  | j -> j
+
 let test_json_roundtrip =
   let gen_json =
     QCheck.Gen.(
@@ -206,7 +222,11 @@ let test_json_roundtrip =
                 map (fun b -> P.Json.Bool b) bool;
                 map (fun f -> P.Json.Num f) (float_bound_inclusive 1e9);
                 map (fun i -> P.Json.Num (float_of_int i)) small_signed_int;
+                map
+                  (fun f -> P.Json.Num f)
+                  (oneofl [ Float.nan; Float.infinity; Float.neg_infinity ]);
                 map (fun s -> P.Json.Str s) gen_name;
+                map (fun s -> P.Json.Str s) gen_astral;
               ]
           in
           if n = 0 then leaf
@@ -224,8 +244,97 @@ let test_json_roundtrip =
     (QCheck.make gen_json ~print:P.Json.render)
     (fun j ->
       match P.Json.parse (P.Json.render j) with
-      | Ok j' -> P.Json.equal j j'
+      | Ok j' -> P.Json.equal (finite j) j'
       | Error _ -> false)
+
+(* ---------------------------------------------------------------- *)
+(* Byte-mutation fuzzing: well-formed frames and journal lines with
+   bytes flipped, inserted, deleted or cut off. Every decoder must stay
+   total, and whatever it accepts must survive a re-render. *)
+
+(* One byte flipped, inserted or deleted, or the line cut off, at a
+   position taken modulo the line's length. *)
+let gen_mutation =
+  QCheck.Gen.(
+    let edit f arg =
+      map2
+        (fun i x s -> if s = "" then s else f (i mod String.length s) x s)
+        (int_bound 4096) arg
+    in
+    (* [s] with bytes [i, j) replaced by [mid] *)
+    let splice s i j mid =
+      String.sub s 0 i ^ mid ^ String.sub s j (String.length s - j)
+    in
+    oneof
+      [
+        edit
+          (fun i x s ->
+            let c = Char.chr (Char.code s.[i] lxor x) in
+            splice s i (i + 1) (String.make 1 c))
+          (int_range 1 255);
+        (* insertions favour JSON syntax: structural bytes, escapes
+           (surrogates included) and out-of-range numbers *)
+        edit
+          (fun i t s -> splice s i i t)
+          (oneof
+             [
+               map (String.make 1) char;
+               oneofl
+                 [ "\""; "\\"; "{"; "}"; "["; "]"; ","; ":"; "0"; "e"; "\\u";
+                   "\\ud83d"; "\\ude00"; "1e999"; "null" ];
+             ]);
+        edit (fun i () s -> splice s i (i + 1) "") unit;
+        edit (fun i () s -> String.sub s 0 i) unit;
+      ])
+
+let gen_entry =
+  QCheck.Gen.(
+    let sid = int_bound 1000 in
+    oneof
+      [
+        map3
+          (fun sid (ontology, data) (query, max_extra) ->
+            Omqd.Journal.Open { sid; ontology; data; query; max_extra })
+          sid (pair gen_name gen_name) (pair gen_name (int_bound 4));
+        map2 (fun sid facts -> Omqd.Journal.Insert { sid; facts }) sid gen_name;
+        map2 (fun sid facts -> Omqd.Journal.Retract { sid; facts }) sid gen_name;
+        map (fun sid -> Omqd.Journal.Close { sid }) sid;
+      ])
+
+let gen_mutated =
+  QCheck.Gen.(
+    let id = opt small_nat in
+    oneof
+      [
+        map2 (fun id req -> P.render_request ?id req) id gen_request;
+        map2 (fun id resp -> P.render_response ?id resp) id gen_response;
+        map Omqd.Journal.render gen_entry;
+      ]
+    >>= fun line ->
+    list_size (int_range 1 4) gen_mutation >|= List.fold_left ( |> ) line)
+
+(* [parse] rejects [line], or accepts a value that re-renders and
+   re-parses to an equal one. *)
+let stable parse render equal line =
+  match parse line with
+  | Error _ -> true
+  | Ok v -> (
+      match parse (render v) with Ok v' -> equal v v' | Error _ -> false)
+
+let test_mutation_fuzz =
+  QCheck.Test.make ~name:"byte-mutated frames and journal lines decode totally"
+    ~count:20000
+    (QCheck.make gen_mutated ~print:String.escaped)
+    (fun line ->
+      stable P.parse_request
+        (fun (id, r) -> P.render_request ?id r)
+        (fun (id, r) (id', r') -> id = id' && P.equal_request r r')
+        line
+      && stable P.parse_response
+           (fun (id, r) -> P.render_response ?id r)
+           (fun (id, r) (id', r') -> id = id' && P.equal_response r r')
+           line
+      && stable Omqd.Journal.entry_of_line Omqd.Journal.render ( = ) line)
 
 (* ---------------------------------------------------------------- *)
 (* Malformed and wrong-version frames *)
@@ -296,26 +405,47 @@ let test_version_leniency () =
   | Ok (None, P.Retracted { session = 3; total_facts = 7 }) -> ()
   | _ -> Alcotest.fail "retracted response should decode"
 
+(* Parse cases: label, input, expected tree ([None]: rejected). *)
+let parse_cases =
+  P.Json.
+    [
+      ( "mixed array",
+        " [1, 2.5, \"a\\u00e9\", true, null] ",
+        Some (Arr [ Num 1.0; Num 2.5; Str "a\xc3\xa9"; Bool true; Null ]) );
+      ("unterminated string", "\"abc", None);
+      ("lone minus", "-", None);
+      ("empty input", "  ", None);
+      ("uppercase hex escape", "\"\\u00E9\"", Some (Str "\xc3\xa9"));
+      ( "surrogate pair is one code point",
+        "\"\\ud83d\\ude00\"",
+        Some (Str "\xf0\x9f\x98\x80") );
+      ("lone high surrogate", {|"\ud83d"|}, Some (Str "\xef\xbf\xbd"));
+      ("lone low surrogate", {|"\ude00x"|}, Some (Str "\xef\xbf\xbdx"));
+      ( "high surrogate before a non-surrogate escape",
+        "\"\\ud83d\\u0041\"",
+        Some (Str "\xef\xbf\xbdA") );
+      ( "high surrogate before a letter",
+        {|"\ud83dA"|},
+        Some (Str "\xef\xbf\xbdA") );
+      ("\\u takes hex digits only", {|"\u1_23"|}, None);
+      ("\\u takes four digits", {|"\u12"|}, None);
+      ("overflowing number", "1e999", None);
+    ]
+
 let test_json_corners () =
-  (match P.Json.parse " [1, 2.5, \"a\\u00e9\", true, null] " with
-  | Ok
-      (P.Json.Arr
-        [
-          P.Json.Num 1.0;
-          P.Json.Num 2.5;
-          P.Json.Str "a\xc3\xa9";
-          P.Json.Bool true;
-          P.Json.Null;
-        ]) ->
-      ()
-  | Ok j -> Alcotest.failf "unexpected parse: %s" (P.Json.render j)
-  | Error m -> Alcotest.failf "parse failed: %s" m);
+  List.iter
+    (fun (label, input, expected) ->
+      match (P.Json.parse input, expected) with
+      | Ok j, Some e ->
+          if not (P.Json.equal j e) then
+            Alcotest.failf "%s: parsed as %s" label (P.Json.render j)
+      | Error _, None -> ()
+      | Ok j, None ->
+          Alcotest.failf "%s: accepted as %s" label (P.Json.render j)
+      | Error m, Some _ -> Alcotest.failf "%s: rejected: %s" label m)
+    parse_cases;
   check_str "integral numbers render bare" "5" (P.Json.render (P.Json.Num 5.0));
-  check_str "empty object" "{}" (P.Json.render (P.Json.Obj []));
-  check "unterminated string rejected" true
-    (Result.is_error (P.Json.parse "\"abc"));
-  check "lone minus rejected" true (Result.is_error (P.Json.parse "-"));
-  check "empty input rejected" true (Result.is_error (P.Json.parse "  "))
+  check_str "empty object" "{}" (P.Json.render (P.Json.Obj []))
 
 (* ---------------------------------------------------------------- *)
 (* The CLI byte-compatibility contract: these exact renderings are what
@@ -366,6 +496,7 @@ let suite =
     QCheck_alcotest.to_alcotest test_response_roundtrip;
     QCheck_alcotest.to_alcotest test_response_roundtrip_id;
     QCheck_alcotest.to_alcotest test_json_roundtrip;
+    QCheck_alcotest.to_alcotest test_mutation_fuzz;
     Alcotest.test_case "malformed frames" `Quick test_malformed;
     Alcotest.test_case "version leniency" `Quick test_version_leniency;
     Alcotest.test_case "json corners" `Quick test_json_corners;

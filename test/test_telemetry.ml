@@ -381,11 +381,15 @@ let test_flight_eviction () =
   Omqd.Telemetry.set_enabled t false;
   Omqd.Telemetry.record t (rec_i 10);
   check Alcotest.int "disabled: no record" 10 (Omqd.Telemetry.total t);
-  (* the dump is one parseable JSON object with the documented keys *)
-  match P.Json.parse (Omqd.Telemetry.to_json ~extra:[ ("x", "1") ] t) with
+  (* the dump is one parseable JSON object with the documented keys;
+     JSON has no NaN, so a non-finite member renders as null instead of
+     making the whole dump unparsable *)
+  let extra = [ ("x", P.Json.Num Float.nan) ] in
+  match P.Json.parse (P.Json.render (Omqd.Telemetry.to_json ~extra t)) with
   | Error m -> Alcotest.failf "dump does not parse: %s" m
   | Ok j ->
-      check Alcotest.bool "extra member" true (P.Json.member "x" j <> None);
+      check Alcotest.bool "non-finite extra member is null" true
+        (P.Json.member "x" j = Some P.Json.Null);
       check
         Alcotest.(option bool)
         "flight_total" (Some true)
