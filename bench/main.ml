@@ -261,10 +261,10 @@ let parallel_corpus_table () =
 let eval_table ?(sizes = [ 10_000; 100_000 ]) () =
   section "Cost-based evaluation: naive vs planned joins on generated instances";
   (* Multi-atom CQs over [Structure.Randgen.large] instances. The naive
-     pipeline is the pre-planner backtracking search (planner switch
-     off); the indexed one is the Relindex/Eval join planner. Both must
-     return byte-identical answers — [Cq.answers] sorts, so plain
-     structural equality checks it. *)
+     pipeline is the test oracle's backtracking homomorphism search from
+     D_q; the indexed one is [Query.Cq.answers], the Relindex/Eval join
+     planner. Both must return byte-identical answers — both sort, so
+     plain structural equality checks it. *)
   let queries =
     [
       ("join2", "q(x,y) <- r0(x,z), r1(z,y), C0(x), C1(y)");
@@ -289,16 +289,8 @@ let eval_table ?(sizes = [ 10_000; 100_000 ]) () =
         (fun (qname, qtext) ->
           let q = Query.Parse.cq_of_string qtext in
           Gc.compact ();
-          let naive, t_naive =
-            time (fun () ->
-                Structure.Eval.with_planner false (fun () ->
-                    Query.Cq.answers inst q))
-          in
-          let indexed, t_indexed =
-            time (fun () ->
-                Structure.Eval.with_planner true (fun () ->
-                    Query.Cq.answers inst q))
-          in
+          let naive, t_naive = time (fun () -> Oracle.cq_answers inst q) in
+          let indexed, t_indexed = time (fun () -> Query.Cq.answers inst q) in
           let identical = naive = indexed in
           let speedup = t_naive /. t_indexed in
           Fmt.pr "%-9d %-8s %-9d %-12.4f %-12.4f %-9s %s@." size qname

@@ -146,7 +146,3 @@ let solve (t : Template.t) d =
           | Some doms -> backtrack t d doms)
 
 let solvable t d = Option.is_some (solve t d)
-
-(* Reference implementation by generic homomorphism search (tests). *)
-let solvable_by_hom (t : Template.t) d =
-  Structure.Homomorphism.exists ~source:d ~target:t.instance ()

@@ -10,6 +10,3 @@ val solve :
   Structure.Element.t Structure.Element.Map.t option
 
 val solvable : Template.t -> Structure.Instance.t -> bool
-
-(** Reference: generic backtracking homomorphism search (for tests). *)
-val solvable_by_hom : Template.t -> Structure.Instance.t -> bool

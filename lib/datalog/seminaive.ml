@@ -1,80 +1,17 @@
 module SSet = Logic.Names.SSet
 module SMap = Logic.Names.SMap
-module EMap = Structure.Element.Map
 
 (* Semi-naive bottom-up evaluation: in every round after the first, a
    rule only fires through matches that use at least one fact derived in
    the previous round (the delta), found by pinning one positive body
    atom to each delta fact in turn. *)
 
-let body_vars body =
-  List.fold_left
-    (fun acc a -> SSet.union acc (Program.atom_vars a))
-    SSet.empty
-    (Program.positive_atoms body)
-
-(* Evaluate all bindings of [body]'s variables against [inst]; when
-   [pin = Some (atom, fact)] the given atom is matched against exactly
-   that fact. Returns bindings as maps var -> element. *)
-let body_bindings_naive inst body ~pin atoms =
-  let q = Query.Cq.make ~name:"body" ~answer:[] atoms in
-  let db = Query.Cq.canonical_db q in
-  (* Extend a fixing consistently; [None] when the pin clashes. *)
-  let extend_fixing fixed ts args =
-    List.fold_left2
-      (fun acc t target ->
-        match acc with
-        | None -> None
-        | Some m -> (
-            let key = Query.Cq.term_element t in
-            match EMap.find_opt key m with
-            | Some existing when not (Structure.Element.equal existing target)
-              ->
-                None
-            | _ -> Some (EMap.add key target m)))
-      (Some fixed) ts args
-  in
+(* All bindings of [body]'s variables (maps var -> element) matching
+   its positive atoms in [inst]. When [pin = Some (atom, fact)] the
+   given atom is matched against exactly that fact: its variables are
+   fixed and its constants checked up front. *)
+let body_bindings inst body ~pin =
   let fixed =
-    match pin with
-    | None -> Some (Query.Cq.constant_fixing q)
-    | Some ((_, ts), (fact : Structure.Instance.fact)) ->
-        if List.length ts <> List.length fact.args then None
-        else extend_fixing (Query.Cq.constant_fixing q) ts fact.args
-  in
-  match fixed with
-  | None -> []
-  | Some fixed ->
-      Structure.Homomorphism.fold ~fixed ~source:db ~target:inst
-        (fun m acc ->
-          let bind =
-            SSet.fold
-              (fun v b -> SMap.add v (EMap.find (Query.Cq.var_element v) m) b)
-              (body_vars body) SMap.empty
-          in
-          (false, bind :: acc))
-        []
-
-(* Planner-backed variant: the positive atoms become one join evaluated
-   over the instance's [Relindex]; the pin turns into pre-bound
-   variables (and constant checks) on the pinned atom. *)
-let body_bindings_eval inst body ~pin atoms =
-  let vars = body_vars body in
-  let _, var_ix =
-    SSet.fold (fun v (i, m) -> (i + 1, SMap.add v i m)) vars (0, SMap.empty)
-  in
-  let eatoms =
-    List.map
-      (fun (r, ts) ->
-        Structure.Eval.atom r
-          (List.map
-             (function
-               | Logic.Term.Var v -> Structure.Eval.Var (SMap.find v var_ix)
-               | Logic.Term.Const c ->
-                   Structure.Eval.Const (Structure.Element.Const c))
-             ts))
-      atoms
-  in
-  let bindings =
     match pin with
     | None -> Some []
     | Some ((_, ts), (fact : Structure.Instance.fact)) ->
@@ -82,42 +19,23 @@ let body_bindings_eval inst body ~pin atoms =
         else
           List.fold_left2
             (fun acc t target ->
-              match acc with
-              | None -> None
-              | Some bs -> (
-                  match t with
-                  | Logic.Term.Const c ->
-                      if
-                        Structure.Element.equal (Structure.Element.Const c)
-                          target
-                      then Some bs
-                      else None
-                  | Logic.Term.Var v -> (
-                      let ix = SMap.find v var_ix in
-                      match List.assoc_opt ix bs with
-                      | Some existing
-                        when not (Structure.Element.equal existing target) ->
-                          None
-                      | Some _ -> Some bs
-                      | None -> Some ((ix, target) :: bs))))
+              match (acc, t) with
+              | None, _ -> None
+              | Some _, Logic.Term.Const c ->
+                  if Structure.Element.equal (Structure.Element.Const c) target
+                  then acc
+                  else None
+              | Some fx, Logic.Term.Var v -> (
+                  match List.assoc_opt v fx with
+                  | Some e when not (Structure.Element.equal e target) -> None
+                  | Some _ -> acc
+                  | None -> Some ((v, target) :: fx)))
             (Some []) ts fact.args
   in
-  match bindings with
+  match fixed with
   | None -> []
-  | Some bindings ->
-      let idx = Structure.Relindex.of_instance inst in
-      let plan =
-        Structure.Eval.make_plan idx ~bound:(List.map fst bindings) eatoms
-      in
-      Structure.Eval.fold idx plan ~bindings
-        (fun sol acc -> (false, SMap.map (fun i -> sol.(i)) var_ix :: acc))
-        []
-
-let body_bindings inst body ~pin =
-  let atoms = Program.positive_atoms body in
-  if Structure.Eval.planner_enabled () then
-    body_bindings_eval inst body ~pin atoms
-  else body_bindings_naive inst body ~pin atoms
+  | Some fixed ->
+      Query.Cq.matches ~fixed inst (Program.positive_atoms body)
 
 let neq_holds bind (s, t) =
   let value = function
@@ -342,7 +260,7 @@ let count_of f counts = Option.value (FMap.find_opt f counts) ~default:0
    any miss ([from] not cached, or an added fact over a new element) the
    next [of_instance] just builds from scratch. *)
 let reindex ~from ~added ~removed inst =
-  if Structure.Eval.planner_enabled () && not (inst == from) then
+  if not (inst == from) then
     match Structure.Relindex.cached from with
     | Some idx -> ignore (Structure.Relindex.update idx ~added ~removed inst)
     | None -> ()
@@ -569,20 +487,3 @@ let retract st facts =
     match st.strategy with
     | Counting -> retract_counting st present
     | Dred -> retract_dred st present
-
-(* Reference naive evaluation (for testing). *)
-let evaluate_naive (p : Program.t) edb =
-  let step inst =
-    List.fold_left
-      (fun i (r : Program.rule) ->
-        List.fold_left
-          (fun i f -> Structure.Instance.add_fact f i)
-          i
-          (fire_rule inst r ~pin:None))
-      inst p.rules
-  in
-  let rec loop inst =
-    let inst' = step inst in
-    if Structure.Instance.equal inst' inst then inst else loop inst'
-  in
-  loop edb

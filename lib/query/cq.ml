@@ -13,16 +13,17 @@ type t = {
 
 exception Ill_formed of string
 
+let atom_vars atoms =
+  List.fold_left
+    (fun acc (_, ts) -> SSet.union acc (Logic.Term.vars ts))
+    SSet.empty atoms
+
 let make ?(name = "q") ~answer atoms =
   let q = { name; answer; atoms } in
-  let atom_vars =
-    List.fold_left
-      (fun acc (_, ts) -> SSet.union acc (Logic.Term.vars ts))
-      SSet.empty atoms
-  in
+  let vars = atom_vars atoms in
   List.iter
     (fun x ->
-      if not (SSet.mem x atom_vars) then
+      if not (SSet.mem x vars) then
         raise
           (Ill_formed
              (Printf.sprintf "answer variable %s does not occur in an atom" x)))
@@ -32,10 +33,7 @@ let make ?(name = "q") ~answer atoms =
 let arity q = List.length q.answer
 let is_boolean q = q.answer = []
 
-let variables q =
-  List.fold_left
-    (fun acc (_, ts) -> SSet.union acc (Logic.Term.vars ts))
-    SSet.empty q.atoms
+let variables q = atom_vars q.atoms
 
 let existential_variables q = SSet.diff (variables q) (SSet.of_list q.answer)
 
@@ -82,28 +80,31 @@ let constant_fixing q =
         m ts)
     EMap.empty q.atoms
 
-(* Compile the body to [Structure.Eval] atoms over a dense variable
-   numbering (variables in sorted-name order, answer variables
-   included). *)
-let compile q =
+(* The one body compilation: [Structure.Eval] atoms over a dense
+   numbering of the body's variables in sorted-name order. *)
+let compile atoms =
   let _, var_ix =
     SSet.fold
       (fun v (i, m) -> (i + 1, SMap.add v i m))
-      (variables q) (0, SMap.empty)
+      (atom_vars atoms) (0, SMap.empty)
   in
-  let atoms =
-    List.map
-      (fun (r, ts) ->
-        Structure.Eval.atom r
-          (List.map
-             (function
-               | Logic.Term.Var v -> Structure.Eval.Var (SMap.find v var_ix)
-               | Logic.Term.Const c ->
-                   Structure.Eval.Const (Structure.Element.Const c))
-             ts))
-      q.atoms
+  let term = function
+    | Logic.Term.Var v -> Structure.Eval.Var (SMap.find v var_ix)
+    | Logic.Term.Const c -> Structure.Eval.Const (Structure.Element.Const c)
   in
-  (var_ix, atoms)
+  ( var_ix,
+    List.map (fun (r, ts) -> Structure.Eval.atom r (List.map term ts)) atoms )
+
+let matches ?(fixed = []) inst atoms =
+  let var_ix, atoms = compile atoms in
+  let bindings = List.map (fun (x, e) -> (SMap.find x var_ix, e)) fixed in
+  let idx = Structure.Relindex.of_instance inst in
+  let plan =
+    Structure.Eval.make_plan idx ~bound:(List.map fst bindings) atoms
+  in
+  Structure.Eval.fold idx plan ~bindings
+    (fun sol acc -> (false, SMap.map (fun i -> sol.(i)) var_ix :: acc))
+    []
 
 (* A tuple ā is an answer iff there is a homomorphism from D_q to the
    interpretation mapping the answer constants to ā. *)
@@ -125,8 +126,8 @@ let holds inst q tuple =
         let args = List.map (fun t -> EMap.find (term_element t) fixed) ts in
         Structure.Instance.mem (Structure.Instance.fact r args) inst)
       q.atoms
-  else if Structure.Eval.planner_enabled () then
-    let var_ix, atoms = compile q in
+  else
+    let var_ix, atoms = compile q.atoms in
     let bindings =
       List.map2 (fun x e -> (SMap.find x var_ix, e)) q.answer tuple
     in
@@ -135,56 +136,30 @@ let holds inst q tuple =
       Structure.Eval.make_plan idx ~bound:(List.map fst bindings) atoms
     in
     Structure.Eval.exists idx plan ~bindings
-  else
-    let fixed =
-      List.fold_left2
-        (fun m x e -> EMap.add (var_element x) e m)
-        (constant_fixing q) q.answer tuple
-    in
-    Structure.Homomorphism.exists ~fixed ~source:(canonical_db q) ~target:inst ()
 
 let holds_boolean inst q = holds inst q []
 
-(* All answers over the domain of [inst], duplicate-free and sorted —
-   the order is the same whichever evaluation pipeline produced them. *)
+(* All answers over the domain of [inst], duplicate-free and sorted. *)
 let answers inst q =
-  let raw =
-    if Structure.Eval.planner_enabled () then begin
-      let var_ix, atoms = compile q in
-      let ans_ix = List.map (fun x -> SMap.find x var_ix) q.answer in
-      let idx = Structure.Relindex.of_instance inst in
-      let plan = Structure.Eval.make_plan idx atoms in
-      let seen = Hashtbl.create 16 in
-      Structure.Eval.fold idx plan ~bindings:[]
-        (fun sol acc ->
-          let tuple = List.map (fun i -> sol.(i)) ans_ix in
-          if Hashtbl.mem seen tuple then (false, acc)
-          else begin
-            Hashtbl.replace seen tuple ();
-            (false, tuple :: acc)
-          end)
-        []
-    end
-    else
-      let db = canonical_db q in
-      let answer_elems = List.map var_element q.answer in
-      let seen = Hashtbl.create 16 in
-      Structure.Homomorphism.fold ~fixed:(constant_fixing q) ~source:db
-        ~target:inst
-        (fun m acc ->
-          let tuple = List.map (fun e -> EMap.find e m) answer_elems in
-          if Hashtbl.mem seen tuple then (false, acc)
-          else begin
-            Hashtbl.replace seen tuple ();
-            (false, tuple :: acc)
-          end)
-        []
-  in
-  List.sort (List.compare Structure.Element.compare) raw
+  let var_ix, atoms = compile q.atoms in
+  let ans_ix = List.map (fun x -> SMap.find x var_ix) q.answer in
+  let idx = Structure.Relindex.of_instance inst in
+  let plan = Structure.Eval.make_plan idx atoms in
+  let seen = Hashtbl.create 16 in
+  Structure.Eval.fold idx plan ~bindings:[]
+    (fun sol acc ->
+      let tuple = List.map (fun i -> sol.(i)) ans_ix in
+      if Hashtbl.mem seen tuple then (false, acc)
+      else begin
+        Hashtbl.replace seen tuple ();
+        (false, tuple :: acc)
+      end)
+    []
+  |> List.sort (List.compare Structure.Element.compare)
 
 (* The chosen join plan for [q]'s body over [inst], as JSON. *)
 let explain inst q =
-  let var_ix, atoms = compile q in
+  let var_ix, atoms = compile q.atoms in
   let idx = Structure.Relindex.of_instance inst in
   let plan = Structure.Eval.make_plan idx atoms in
   let vars = Array.make (SMap.cardinal var_ix) "" in

@@ -1,6 +1,6 @@
 (** Conjunctive queries q(x̄) ← φ (Section 2): atoms over variables and
     constants, a tuple of answer variables, canonical databases, and
-    evaluation by homomorphism search. *)
+    evaluation as a [Structure.Eval] join. *)
 
 type atom = string * Logic.Term.t list
 
@@ -34,13 +34,26 @@ val canonical_db : t -> Structure.Instance.t
     as the [fixed] argument of homomorphism searches from D{_q}. *)
 val constant_fixing : t -> Structure.Element.t Structure.Element.Map.t
 
+(** [matches ~fixed inst atoms] is every assignment of the body's
+    variables that maps each atom to a fact of [inst] (constants
+    standing for themselves) and agrees with [fixed] (variable,
+    element). The body is compiled to one [Structure.Eval] join over
+    [inst]'s [Relindex] — the same compilation {!holds} and {!answers}
+    use, and the one the chase and semi-naive Datalog match rule bodies
+    through. Unordered. *)
+val matches :
+  ?fixed:(string * Structure.Element.t) list ->
+  Structure.Instance.t ->
+  atom list ->
+  Structure.Element.t Logic.Names.SMap.t list
+
 (** [holds inst q ā]: ā is an answer to [q] in [inst]. *)
 val holds : Structure.Instance.t -> t -> Structure.Element.t list -> bool
 
 val holds_boolean : Structure.Instance.t -> t -> bool
 
-(** All answers of [q] in [inst], duplicate-free and sorted (the order
-    does not depend on which evaluation pipeline produced them). *)
+(** All answers of [q] in [inst], duplicate-free and sorted
+    lexicographically. *)
 val answers : Structure.Instance.t -> t -> Structure.Element.t list list
 
 (** The join plan the planner would choose for [q]'s body over [inst],

@@ -15,18 +15,6 @@ type atom = { rel : string; args : term array }
 
 let atom rel args = { rel; args = Array.of_list args }
 
-(* Per-domain switch: when off, callers fall back to their pre-planner
-   naive paths. Exists so the equivalence suite and the bench can run
-   both pipelines wholesale. *)
-let enabled_key = Domain.DLS.new_key (fun () -> true)
-let planner_enabled () = Domain.DLS.get enabled_key
-let set_planner_enabled b = Domain.DLS.set enabled_key b
-
-let with_planner b f =
-  let prev = planner_enabled () in
-  set_planner_enabled b;
-  Fun.protect ~finally:(fun () -> set_planner_enabled prev) f
-
 type access = Membership | Lookup | Scan
 
 let access_label = function

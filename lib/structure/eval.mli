@@ -8,24 +8,17 @@
     index statistics, so plans and enumeration orders are
     deterministic. {!fold} executes the plan depth-first, serving each
     atom's bound positions through the index's adaptive scan→hash
-    access paths. *)
+    access paths.
+
+    This is the library's only join path: {!Homomorphism}, [Query.Cq],
+    the chase and semi-naive Datalog all match bodies through it (the
+    last three through [Query.Cq]'s one body compilation). The naive
+    backtracking matchers live in the test suite as oracles. *)
 
 type term = Const of Element.t | Var of int
 type atom = { rel : string; args : term array }
 
 val atom : string -> term list -> atom
-
-(** {2 Per-domain switch}
-
-    When off, callers ({!Homomorphism}, [Query.Cq], the chase, semi-
-    naive Datalog) fall back to their pre-planner naive paths. Exists so
-    the equivalence suite and the bench can run both pipelines. *)
-
-val planner_enabled : unit -> bool
-val set_planner_enabled : bool -> unit
-
-(** Run [f] with the switch set, restoring the previous value. *)
-val with_planner : bool -> (unit -> 'a) -> 'a
 
 type access = Membership | Lookup | Scan
 

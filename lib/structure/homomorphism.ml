@@ -12,148 +12,11 @@ let is_homomorphism m ~source ~target =
     (Instance.facts source)
   && EMap.for_all (fun _ v -> ESet.mem v (Instance.domain target)) m
 
-(* Order the unassigned source elements so that each element is, as far as
-   possible, connected to the previously chosen ones: this makes candidate
-   filtering through incident facts effective. *)
-let search_order source fixed =
-  let g = Gaifman.of_instance source in
-  let seen = Hashtbl.create 16 in
-  let order = ref [] in
-  let push e =
-    if not (Hashtbl.mem seen e) then begin
-      Hashtbl.replace seen e ();
-      if not (EMap.mem e fixed) then order := e :: !order
-    end
-  in
-  let rec bfs frontier =
-    match frontier with
-    | [] -> ()
-    | e :: rest ->
-        let nbrs =
-          ESet.elements
-            (ESet.filter
-               (fun v -> not (Hashtbl.mem seen v))
-               (Gaifman.neighbours g e))
-        in
-        List.iter push nbrs;
-        bfs (rest @ nbrs)
-  in
-  EMap.iter (fun e _ -> Hashtbl.replace seen e ()) fixed;
-  bfs (List.map fst (EMap.bindings fixed));
-  ESet.iter
-    (fun e ->
-      if not (Hashtbl.mem seen e) then begin
-        push e;
-        bfs [ e ]
-      end)
-    (Instance.domain source);
-  List.rev !order
-
-(* Candidate images for [e] given partial map [m]: pick the incident fact
-   with the fewest unassigned argument positions and collect the values
-   of matching target tuples at [e]'s positions. *)
-let candidates source target m e =
-  let restrict_by (f : Instance.fact) =
-    let tuples = Instance.tuples f.rel target in
-    List.fold_left
-      (fun acc tuple ->
-        let ok = ref true in
-        let img_of_e = ref None in
-        List.iteri
-          (fun i a ->
-            let tv = List.nth tuple i in
-            match EMap.find_opt a m with
-            | Some v -> if not (Element.equal v tv) then ok := false
-            | None ->
-                if Element.equal a e then
-                  match !img_of_e with
-                  | None -> img_of_e := Some tv
-                  | Some v -> if not (Element.equal v tv) then ok := false)
-          f.args;
-        match (!ok, !img_of_e) with
-        | true, Some v -> ESet.add v acc
-        | _ -> acc)
-      ESet.empty tuples
-  in
-  let best =
-    List.fold_left
-      (fun best (f : Instance.fact) ->
-        let unassigned =
-          List.length
-            (List.filter
-               (fun a -> (not (EMap.mem a m)) && not (Element.equal a e))
-               f.args)
-        in
-        match best with
-        | Some (u, _) when u <= unassigned -> best
-        | _ -> Some (unassigned, f))
-      None
-      (Instance.incident e source)
-  in
-  match best with
-  | Some (_, f) -> restrict_by f
-  | None -> Instance.domain target
-
-(* Check all source facts mentioning [e] whose arguments are now fully
-   assigned. *)
-let consistent source target m e =
-  List.for_all
-    (fun (f : Instance.fact) ->
-      match
-        List.fold_left
-          (fun acc a ->
-            match acc with
-            | None -> None
-            | Some imgs -> (
-                match EMap.find_opt a m with
-                | Some v -> Some (v :: imgs)
-                | None -> None))
-          (Some []) f.args
-      with
-      | None -> true
-      | Some rev_imgs ->
-          Instance.mem { f with args = List.rev rev_imgs } target)
-    (Instance.incident e source)
-
-let fold_naive ?(fixed = EMap.empty) ?(injective = false) ~source ~target f
-    init =
-  let order = search_order source fixed in
-  let acc = ref init in
-  let continue = ref true in
-  let used = EMap.fold (fun _ v s -> ESet.add v s) fixed ESet.empty in
-  let rec go m used = function
-    | [] ->
-        let stop, acc' = f m !acc in
-        acc := acc';
-        if stop then continue := false
-    | e :: rest ->
-        let cands = candidates source target m e in
-        ESet.iter
-          (fun v ->
-            if !continue && not (injective && ESet.mem v used) then begin
-              let m' = EMap.add e v m in
-              if consistent source target m' e then
-                go m' (ESet.add v used) rest
-            end)
-          cands
-  in
-  let fixed_ok =
-    EMap.for_all
-      (fun e v ->
-        ESet.mem v (Instance.domain target)
-        && ESet.mem e (Instance.domain source)
-        && consistent source target fixed e)
-      fixed
-  in
-  if fixed_ok then go fixed used order;
-  !acc
-
-(* Planner-backed enumeration: source elements that occur in facts
-   become join variables over the target's [Relindex]; source elements
-   with no incident fact ("isolated") are unconstrained and range over
-   the whole target domain, exactly as the naive path's [candidates]
-   fallback. Solutions come in plan order, deterministically. *)
-let fold_eval ~fixed ~source ~target f init =
+(* Source elements that occur in facts become join variables over the
+   target's [Relindex]; source elements with no incident fact
+   ("isolated") are unconstrained and range over the whole target
+   domain. Solutions come in plan order, deterministically. *)
+let fold ?(fixed = EMap.empty) ~source ~target f init =
   let fixed_ok =
     EMap.for_all
       (fun e v ->
@@ -228,28 +91,14 @@ let fold_eval ~fixed ~source ~target f init =
     !acc
   end
 
-let fold ?(fixed = EMap.empty) ?(injective = false) ~source ~target f init =
-  if (not injective) && Eval.planner_enabled () then
-    fold_eval ~fixed ~source ~target f init
-  else fold_naive ~fixed ~injective ~source ~target f init
+let find ?(fixed = EMap.empty) ~source ~target () =
+  fold ~fixed ~source ~target (fun m _ -> (true, Some m)) None
 
-let find ?(fixed = EMap.empty) ?(injective = false) ~source ~target () =
-  fold ~fixed ~injective ~source ~target (fun m _ -> (true, Some m)) None
+let exists ?(fixed = EMap.empty) ~source ~target () =
+  Option.is_some (find ~fixed ~source ~target ())
 
-let exists ?(fixed = EMap.empty) ?(injective = false) ~source ~target () =
-  Option.is_some (find ~fixed ~injective ~source ~target ())
-
-let all ?(fixed = EMap.empty) ?(injective = false) ?limit ~source ~target () =
-  let res =
-    fold ~fixed ~injective ~source ~target
-      (fun m acc ->
-        let acc = m :: acc in
-        match limit with
-        | Some l when List.length acc >= l -> (true, acc)
-        | _ -> (false, acc))
-      []
-  in
-  List.rev res
+let all ?(fixed = EMap.empty) ~source ~target () =
+  List.rev (fold ~fixed ~source ~target (fun m acc -> (false, m :: acc)) [])
 
 let fixed_identity elems =
   ESet.fold (fun e m -> EMap.add e e m) elems EMap.empty

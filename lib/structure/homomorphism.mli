@@ -1,5 +1,6 @@
-(** Homomorphisms between instances/interpretations (Section 2), found by
-    backtracking search with fact-based candidate filtering. *)
+(** Homomorphisms between instances/interpretations (Section 2),
+    enumerated as joins by the {!Eval} planner over the target's
+    {!Relindex}. *)
 
 type map = Element.t Element.Map.t
 
@@ -11,24 +12,11 @@ val apply : map -> Element.t -> Element.t
 val is_homomorphism : map -> source:Instance.t -> target:Instance.t -> bool
 
 (** [fold ~source ~target f init] enumerates homomorphisms extending
-    [fixed]; [f] returns [(stop, acc)]. Backed by the {!Eval} join
-    planner when {!Eval.planner_enabled} (the default); [injective]
-    searches always use the naive backtracking path. *)
+    [fixed], in the deterministic order of the join plan over [source]'s
+    facts; source elements in no fact range over the whole target
+    domain. [f] returns [(stop, acc)]. *)
 val fold :
   ?fixed:map ->
-  ?injective:bool ->
-  source:Instance.t ->
-  target:Instance.t ->
-  (map -> 'a -> bool * 'a) ->
-  'a ->
-  'a
-
-(** The pre-planner backtracking enumeration, kept as the reference
-    implementation for the equivalence suite and as the [injective]
-    path. Same contract as {!fold}. *)
-val fold_naive :
-  ?fixed:map ->
-  ?injective:bool ->
   source:Instance.t ->
   target:Instance.t ->
   (map -> 'a -> bool * 'a) ->
@@ -37,30 +25,14 @@ val fold_naive :
 
 (** First homomorphism extending [fixed], if any. *)
 val find :
-  ?fixed:map ->
-  ?injective:bool ->
-  source:Instance.t ->
-  target:Instance.t ->
-  unit ->
-  map option
+  ?fixed:map -> source:Instance.t -> target:Instance.t -> unit -> map option
 
 val exists :
-  ?fixed:map ->
-  ?injective:bool ->
-  source:Instance.t ->
-  target:Instance.t ->
-  unit ->
-  bool
+  ?fixed:map -> source:Instance.t -> target:Instance.t -> unit -> bool
 
-(** All homomorphisms (up to [limit] if given). *)
+(** All homomorphisms extending [fixed]. *)
 val all :
-  ?fixed:map ->
-  ?injective:bool ->
-  ?limit:int ->
-  source:Instance.t ->
-  target:Instance.t ->
-  unit ->
-  map list
+  ?fixed:map -> source:Instance.t -> target:Instance.t -> unit -> map list
 
 (** Identity map on a set of elements, for use as [fixed] (homomorphisms
     preserving a set of constants). *)

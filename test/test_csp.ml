@@ -32,7 +32,7 @@ let test_solver_vs_hom =
       let d = Structure.Randgen.instance ~rng ~signature ~size:4 ~p:0.3 in
       let k = 2 + Random.State.int rng 2 in
       let t = Csp.Template.k_colouring k in
-      Bool.equal (Csp.Solve.solvable t d) (Csp.Solve.solvable_by_hom t d))
+      Bool.equal (Csp.Solve.solvable t d) (Oracle.csp_solvable t d))
 
 let test_solution_is_hom () =
   let k3 = Csp.Template.k_colouring 3 in

@@ -1,15 +1,14 @@
 (* Equivalence suite for the cost-based evaluation engine: on random
-   instances the planner pipeline (Relindex + Eval) must return exactly
-   the answers of the naive reference implementations, at every layer
-   that was rewired onto it — CQ evaluation, homomorphism enumeration,
-   the chase, and semi-naive Datalog. Byte-identity matters: downstream
-   consumers compare answer lists structurally. *)
+   instances the library's one join path (Relindex + Eval) must return
+   exactly the answers of the naive reference matchers in [Oracle], at
+   every layer that matches bodies through it — CQ evaluation,
+   homomorphism enumeration, the chase, and semi-naive Datalog.
+   Byte-identity matters: downstream consumers compare answer lists
+   structurally. *)
 
 open Helpers
 module EMap = Structure.Element.Map
-
-let on f = Structure.Eval.with_planner true f
-let off f = Structure.Eval.with_planner false f
+module SSet = Logic.Names.SSet
 
 let signature =
   Logic.Signature.of_list [ ("R", 2); ("S", 2); ("A", 1); ("B", 1) ]
@@ -43,18 +42,16 @@ let test_cq_equiv =
       List.for_all
         (fun q ->
           let arity = List.length q.Query.Cq.answer in
-          on (fun () -> Query.Cq.answers d q)
-          = off (fun () -> Query.Cq.answers d q)
+          Query.Cq.answers d q = Oracle.cq_answers d q
           && List.for_all
                (fun t ->
-                 Bool.equal
-                   (on (fun () -> Query.Cq.holds d q t))
-                   (off (fun () -> Query.Cq.holds d q t)))
+                 Bool.equal (Query.Cq.holds d q t) (Oracle.cq_holds d q t))
                (Structure.Randgen.tuples dom arity))
         cqs)
 
 let test_hom_equiv =
-  QCheck.Test.make ~name:"Homomorphism.fold: planner = fold_naive" ~count:40
+  QCheck.Test.make ~name:"Homomorphism.fold: planner = fold_naive oracle"
+    ~count:40
     QCheck.(int_bound 100_000)
     (fun seed ->
       let rng = Random.State.make [| seed |] in
@@ -71,7 +68,7 @@ let test_hom_equiv =
         |> List.sort compare
       in
       let naive ?fixed () =
-        Structure.Homomorphism.fold_naive ?fixed ~source ~target
+        Oracle.fold ?fixed ~source ~target
           (fun m acc -> (false, EMap.bindings m :: acc))
           []
         |> List.sort compare
@@ -104,16 +101,31 @@ let chase_rules =
       ();
   ]
 
+(* [r] holds in [inst]: every oracle match of the body, projected onto
+   the frontier (body variables that reach the head), extends to the
+   head. *)
+let satisfies inst (r : Reasoner.Chase.rule) =
+  let head_vars = Query.Cq.variables (cq ~answer:[] r.head) in
+  let frontier =
+    SSet.elements
+      (SSet.inter head_vars (Query.Cq.variables (cq ~answer:[] r.body)))
+  in
+  let head = cq ~answer:frontier r.head in
+  List.for_all (Oracle.cq_holds inst head)
+    (Oracle.cq_answers inst (cq ~answer:frontier r.body))
+
 let test_chase_equiv =
-  QCheck.Test.make ~name:"Chase.run fixpoint: planner = naive" ~count:25
+  QCheck.Test.make ~name:"Chase.run: oracle-checked model" ~count:25
     QCheck.(int_bound 100_000)
     (fun seed ->
       let d = rand_instance ~size:3 ~p:0.35 seed in
-      let r_on = on (fun () -> Reasoner.Chase.run chase_rules d) in
-      let r_off = off (fun () -> Reasoner.Chase.run chase_rules d) in
-      Structure.Instance.equal r_on.Reasoner.Chase.instance
-        r_off.Reasoner.Chase.instance
-      && Bool.equal r_on.Reasoner.Chase.saturated r_off.Reasoner.Chase.saturated)
+      let r = Reasoner.Chase.run chase_rules d in
+      let chased = r.Reasoner.Chase.instance in
+      r.Reasoner.Chase.saturated
+      && List.for_all
+           (fun f -> Structure.Instance.mem f chased)
+           (Structure.Instance.facts d)
+      && List.for_all (satisfies chased) chase_rules)
 
 let tc_program =
   Datalog.Program.make ~goal:"T"
@@ -143,12 +155,14 @@ let test_seminaive_equiv =
     QCheck.(int_bound 100_000)
     (fun seed ->
       let d = rand_instance seed in
-      on (fun () -> Datalog.Seminaive.answers tc_program d)
-      = off (fun () -> Datalog.Seminaive.answers tc_program d)
-      && on (fun () ->
-             Structure.Instance.equal
-               (Datalog.Seminaive.evaluate tc_program d)
-               (off (fun () -> Datalog.Seminaive.evaluate_naive tc_program d))))
+      let fixpoint = Oracle.datalog_fixpoint tc_program d in
+      Datalog.Seminaive.answers tc_program d
+      = List.sort_uniq
+          (List.compare Structure.Element.compare)
+          (Structure.Instance.tuples "T" fixpoint)
+      && Structure.Instance.equal
+           (Datalog.Seminaive.evaluate tc_program d)
+           fixpoint)
 
 (* Adaptive switchover: a small relation is always scanned; a larger one
    acquires a pattern hash table only after repeated probes. *)
@@ -252,10 +266,7 @@ let test_relindex_update_equiv =
                      [ "R"; "S"; "A"; "B" ]
                 && List.for_all
                      (fun q ->
-                       Structure.Eval.with_planner true (fun () ->
-                           Query.Cq.answers d' q)
-                       = Structure.Eval.with_planner false (fun () ->
-                             Query.Cq.answers d' q))
+                       Query.Cq.answers d' q = Oracle.cq_answers d' q)
                      cqs
         end
       done;
