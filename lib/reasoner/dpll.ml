@@ -20,7 +20,20 @@
    backjumps to level 0, by a conflict at level 1 and by [set_base];
    the next search replants it. A conflict at level 1, or an
    assumption false against the planted levels, answers "unsatisfiable
-   under the assumptions" and never sets [broken]. *)
+   under the assumptions" and never sets [broken].
+
+   The kept model. [model] holds the last satisfying assignment and
+   [model_upto] the number of clauses it is known to satisfy: every
+   clause with a lower index is true in it. A CDCL verdict keeps its full
+   assignment (all clauses); a successful repair keeps its result (all
+   clauses at that point). A search reaching its first VSIDS decision
+   first repairs the model (see [repair]): each trail literal is fixed,
+   so units, the base and the assumptions hold in the result. Clauses
+   asserted at level 0 are stored simplified against the level-0
+   assignment, which is on the trail, so "every stored clause plus the
+   trail" covers every asserted clause. A repair either succeeds and
+   satisfies every clause, or is undone flip by flip — also on a budget
+   trip — leaving the model and its count as they were. *)
 
 type result =
   | Sat of bool array  (** index v-1 holds the value of variable v *)
@@ -51,6 +64,21 @@ type t = {
   mutable broken : bool;  (* refuted at level 0: permanently unsat *)
   mutable base : int list;  (* the literals planted as level 1 *)
   mutable base_stale : bool;  (* [base] changed since level 1 was planted *)
+  (* The kept model (see the header): bit v of [model] holds variable
+     v+1; it satisfies every clause with index below [model_upto], which
+     is -1 while there is no model. *)
+  mutable model : Bytes.t;
+  mutable model_upto : int;
+  (* The repair's occurrence index over clauses [0, occ_upto): the
+     clauses holding literal l are occ.(occ_start.(i) ..
+     occ_start.(i+1) - 1) for i = lit_index l. Built on the first
+     repair; [occ_upto] is -1 until then. *)
+  mutable occ_start : int array;
+  mutable occ : int array;
+  mutable occ_upto : int;
+  (* repair scratch: the flipped variables and the clauses to check *)
+  mutable flips : int array;
+  mutable pending : int array;
   mutable n_decisions : int;
   mutable n_propagations : int;
   mutable n_conflicts : int;
@@ -91,6 +119,13 @@ let make ~nvars =
     broken = false;
     base = [];
     base_stale = false;
+    model = Bytes.empty;
+    model_upto = -1;
+    occ_start = [||];
+    occ = [||];
+    occ_upto = -1;
+    flips = [||];
+    pending = [||];
     n_decisions = 0;
     n_propagations = 0;
     n_conflicts = 0;
@@ -393,6 +428,7 @@ let seed_clause s c =
     c;
   s.heap_dirty <- true
 
+(* The same for an arena slice. *)
 let seed_clause_slice s a off len =
   let w = 2.0 ** float_of_int (-min len 30) in
   for i = off to off + len - 1 do
@@ -587,6 +623,233 @@ let plant_base s =
   if not !ok then cancel_until s 0;
   !ok
 
+(* ------------------------------------------------------------------ *)
+(* The kept model and its repair                                        *)
+(* ------------------------------------------------------------------ *)
+
+let model_bit m v =
+  v lsr 3 < Bytes.length m
+  && Char.code (Bytes.unsafe_get m (v lsr 3)) land (1 lsl (v land 7)) <> 0
+
+let model_flip m v =
+  let i = v lsr 3 in
+  Bytes.unsafe_set m i
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get m i) lxor (1 lsl (v land 7))))
+
+let model_true s l = model_bit s.model (lit_var l) = (l > 0)
+
+(* Keep the full assignment a satisfying CDCL search left on the trail:
+   it satisfies every clause there is. *)
+let keep_model s =
+  let len = (s.nvars + 7) / 8 in
+  if Bytes.length s.model < len then s.model <- Bytes.make len '\000'
+  else Bytes.fill s.model 0 (Bytes.length s.model) '\000';
+  for v = 0 to s.nvars - 1 do
+    if s.assign.(v) = 1 then model_flip s.model v
+  done;
+  s.model_upto <- s.nclauses
+
+(* Index every current clause by its literals: a counting pass, prefix
+   sums, then a filling pass run backwards so that each literal's clause
+   list comes out ascending. *)
+let build_occ s =
+  let n = 2 * s.nvars in
+  let start = Array.make (n + 1) 0 in
+  for ci = 0 to s.nclauses - 1 do
+    Array.iter
+      (fun l ->
+        let i = lit_index l in
+        start.(i) <- start.(i) + 1)
+      s.clauses.(ci)
+  done;
+  for i = 1 to n - 1 do
+    start.(i) <- start.(i) + start.(i - 1)
+  done;
+  if n > 0 then start.(n) <- start.(n - 1);
+  let occ = Array.make start.(n) 0 in
+  for ci = s.nclauses - 1 downto 0 do
+    Array.iter
+      (fun l ->
+        let i = lit_index l in
+        start.(i) <- start.(i) - 1;
+        occ.(start.(i)) <- ci)
+      s.clauses.(ci)
+  done;
+  s.occ_start <- start;
+  s.occ <- occ;
+  s.occ_upto <- s.nclauses
+
+(* A repair gives up after visiting this many literals: half the
+   indexed literals, so that a failed repair costs a fraction of the
+   search it precedes, plus a floor for tiny clause sets. *)
+let repair_work s = 256 + (Array.length s.occ / 2)
+
+(* Why a repair gave up: a false clause whose every variable is fixed
+   ("fixed"), or the work bound ("bound"). *)
+exception Give_up of string
+
+(* Repair the kept model into a model of every clause that agrees with
+   the trail (level 0, the base, the assumptions and what they
+   propagate), flipping each variable at most once; returns whether it
+   succeeded and how many variables it flipped. On failure, and on a
+   budget trip, every flip is undone, so the kept model and its clause
+   count stay as they were. Called at the point where CDCL would take
+   its first decision, so the trail is fully propagated.
+
+   The model is flipped to agree with the trail, and every clause that
+   may now be false is queued: those holding a literal a flip made
+   false, and those added after the model. A false clause flips its
+   unfixed literal whose flip breaks the fewest indexed clauses. The
+   index covers clauses below [occ_upto]; clauses added since are
+   rescanned whole until a scan finds them all true, and the index is
+   rebuilt once they outgrow a quarter of it. Work is counted in
+   literal visits and charged to [budget] as fuel, one checkpoint per
+   flip. *)
+let repair budget s =
+  let len = (s.nvars + 7) / 8 in
+  if Bytes.length s.model < len then begin
+    let m = Bytes.make len '\000' in
+    Bytes.blit s.model 0 m 0 (Bytes.length s.model);
+    s.model <- m
+  end;
+  if s.occ_upto < 0 || s.nclauses - s.occ_upto > 64 + (s.occ_upto / 4) then
+    build_occ s;
+  let limit = repair_work s in
+  let work = ref 0 and charged = ref 0 in
+  let nflips = ref 0 and npending = ref 0 in
+  let charge () =
+    if !work > limit then raise (Give_up "bound");
+    Budget.spend budget (!work - !charged);
+    charged := !work
+  in
+  let flip v =
+    model_flip s.model v;
+    s.seen.(v) <- true;
+    if !nflips = Array.length s.flips then
+      s.flips <- grow_array s.flips (!nflips + 1) 0;
+    s.flips.(!nflips) <- v;
+    incr nflips
+  in
+  let push ci =
+    if !npending = Array.length s.pending then
+      s.pending <- grow_array s.pending (!npending + 1) 0;
+    s.pending.(!npending) <- ci;
+    incr npending
+  in
+  (* queue the indexed clauses holding [l], a literal just made false *)
+  let push_holding l =
+    let i = lit_index l in
+    if i + 1 < Array.length s.occ_start then begin
+      let a = s.occ_start.(i) and b = s.occ_start.(i + 1) in
+      work := !work + (b - a);
+      for k = a to b - 1 do
+        push s.occ.(k)
+      done
+    end
+  in
+  (* some literal of [c] other than [skip] is true *)
+  let true_besides c skip =
+    let n = Array.length c in
+    let k = ref 0 in
+    while !k < n && (c.(!k) = skip || not (model_true s c.(!k))) do
+      incr k
+    done;
+    work := !work + min n (!k + 1);
+    !k < n
+  in
+  (* the indexed clauses that [l], a true literal, alone satisfies —
+     counted up to [cap] *)
+  let breaks l cap =
+    let i = lit_index l in
+    let count = ref 0 in
+    if i + 1 < Array.length s.occ_start then begin
+      let k = ref s.occ_start.(i) and b = s.occ_start.(i + 1) in
+      while !count < cap && !k < b do
+        if not (true_besides s.clauses.(s.occ.(!k)) l) then incr count;
+        incr k
+      done
+    end;
+    !count
+  in
+  let fix ci =
+    let c = s.clauses.(ci) in
+    if not (true_besides c 0) then begin
+      let best = ref 0 and fewest = ref max_int in
+      Array.iter
+        (fun l ->
+          let v = lit_var l in
+          if s.assign.(v) = 0 && not s.seen.(v) then begin
+            let b = breaks (-l) !fewest in
+            if b < !fewest then begin
+              best := l;
+              fewest := b
+            end
+          end)
+        c;
+      if !best = 0 then raise (Give_up "fixed");
+      flip (lit_var !best);
+      push_holding (- !best);
+      charge ()
+    end
+  in
+  let undo () =
+    for k = !nflips - 1 downto 0 do
+      let v = s.flips.(k) in
+      model_flip s.model v;
+      s.seen.(v) <- false
+    done
+  in
+  match
+    for k = 0 to s.trail_size - 1 do
+      let l = s.trail.(k) in
+      if not (model_true s l) then begin
+        flip (lit_var l);
+        push_holding (-l)
+      end
+    done;
+    for ci = s.model_upto to s.occ_upto - 1 do
+      push ci
+    done;
+    work := !work + s.trail_size + max 0 (s.occ_upto - s.model_upto);
+    charge ();
+    let dirty = ref true in
+    while !dirty do
+      while !npending > 0 do
+        decr npending;
+        fix s.pending.(!npending)
+      done;
+      dirty := false;
+      for ci = s.occ_upto to s.nclauses - 1 do
+        if not (true_besides s.clauses.(ci) 0) then begin
+          push ci;
+          dirty := true
+        end
+      done;
+      charge ()
+    done
+  with
+  | () ->
+      for k = 0 to !nflips - 1 do
+        let v = s.flips.(k) in
+        s.seen.(v) <- false;
+        s.phase.(v) <- model_bit s.model v
+      done;
+      s.model_upto <- s.nclauses;
+      Obs.Metrics.incr (Obs.Metrics.global ()) "dpll.repairs";
+      (true, !nflips)
+  | exception Give_up why ->
+      undo ();
+      Obs.Metrics.incr (Obs.Metrics.global ()) "dpll.repair_fallbacks";
+      Obs.Trace.event
+        ~attrs:[ ("reason", Obs.Trace.Str why); ("flips", Obs.Trace.Int !nflips) ]
+        "dpll.repair_fallback";
+      (false, !nflips)
+  | exception e ->
+      undo ();
+      Obs.Trace.add_attr "repaired" (Obs.Trace.Bool false);
+      Obs.Trace.add_attr "flips" (Obs.Trace.Int !nflips);
+      raise e
+
 (* The CDCL loop: the base on level 1 (see the header), then
    [assumptions] as the following decision levels, then VSIDS decisions.
    Restarts cancel to the root level and re-plant the assumptions. An
@@ -618,6 +881,7 @@ let search ?(budget = Budget.unlimited) s assumptions =
     let restart_budget = ref 100 in
     let conflicts = ref 0 in
     let plants = ref 0 and base_conflict = ref false in
+    let repair_tried = ref false and repaired = ref false and flips = ref 0 in
     (* Budget checkpoints sit between propagation/decision rounds, where
        the solver's invariants hold: an [Exhausted] raised here leaves a
        consistent trail that the next call cancels to the root level (a
@@ -690,9 +954,23 @@ let search ?(budget = Budget.unlimited) s assumptions =
             enqueue s p (-1);
             loop ()
       end
+      else if s.model_upto >= 0 && not !repair_tried then begin
+        (* the first decision: try repairing the kept model instead *)
+        repair_tried := true;
+        let ok, n = repair budget s in
+        flips := n;
+        if ok then begin
+          repaired := true;
+          true
+        end
+        else loop ()
+      end
       else
         match decide s with
-        | None -> true (* full assignment: satisfying, left on the trail *)
+        | None ->
+            (* a full assignment, satisfying: kept as the model *)
+            keep_model s;
+            true
         | Some _ -> loop ()
     in
     let r = loop () in
@@ -700,7 +978,9 @@ let search ?(budget = Budget.unlimited) s assumptions =
       Obs.Trace.add_attr "budget_checkpoints"
         (Obs.Trace.Int (Budget.checkpoints budget));
       Obs.Trace.add_attr "base_plants" (Obs.Trace.Int !plants);
-      Obs.Trace.add_attr "base_conflict" (Obs.Trace.Bool !base_conflict)
+      Obs.Trace.add_attr "base_conflict" (Obs.Trace.Bool !base_conflict);
+      Obs.Trace.add_attr "repaired" (Obs.Trace.Bool !repaired);
+      Obs.Trace.add_attr "flips" (Obs.Trace.Int !flips)
     end;
     r
   end
@@ -711,25 +991,22 @@ let sat_assuming ?budget s assumptions = search ?budget s assumptions
 
 let solve_assuming ?budget s assumptions =
   if search ?budget s assumptions then
-    Sat (Array.init s.nvars (fun v -> s.assign.(v) = 1))
+    Sat (Array.init s.nvars (fun v -> model_bit s.model v))
   else Unsat
 
-(* The assignment a satisfying verdict left on the trail, one bit per
-   variable: an eighth of a byte where a [bool array] costs a word. *)
+(* A copy of the kept model, one bit per variable: an eighth of a byte
+   where a [bool array] costs a word. *)
 let model_bits s =
-  let b = Bytes.make ((s.nvars + 7) / 8) '\000' in
-  for v = 0 to s.nvars - 1 do
-    if s.assign.(v) = 1 then
-      Bytes.unsafe_set b (v lsr 3)
-        (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get b (v lsr 3)) lor (1 lsl (v land 7))))
-  done;
-  b
+  Bytes.sub s.model 0 (min (Bytes.length s.model) ((s.nvars + 7) / 8))
 
-let bit b v =
-  let i = v - 1 in
-  i lsr 3 < Bytes.length b
-  && Char.code (Bytes.get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
+let kept_model_holds s =
+  let ok = ref true in
+  for ci = 0 to s.model_upto - 1 do
+    if not (Array.exists (model_true s) s.clauses.(ci)) then ok := false
+  done;
+  !ok
+
+let bit b v = v >= 1 && model_bit b (v - 1)
 
 let is_broken s = s.broken
 

@@ -11,7 +11,21 @@
     as one decision level, level 1, and stays propagated across solves;
     per-call assumptions are planted above it, one level each. Level 1
     is replanted only after {!set_base}, a clause addition, a learned
-    clause that backjumps to level 0 or a conflict at level 1. *)
+    clause that backjumps to level 0 or a conflict at level 1.
+
+    The solver keeps the model of its last satisfying verdict, with the
+    number of clauses that model is known to satisfy: it satisfies every
+    clause below that count. A later search propagates its base and
+    assumptions as usual, and where it would take its first decision it
+    first tries to {e repair} the kept model: every literal on the trail
+    is fixed, the model is flipped to agree with them, and each clause
+    that may have become false (it holds a flipped variable, or was added
+    after the model) flips one unfixed variable, each at most once. A
+    repair that succeeds answers satisfiable without a decision; one that
+    meets a false clause with every variable fixed, or a constant work
+    bound, is undone and CDCL runs as before. Every satisfying answer is
+    thus a checked model, and unsatisfiable is only ever answered by
+    CDCL. *)
 
 type result =
   | Sat of bool array  (** index v-1 holds the value of variable v *)
@@ -36,11 +50,9 @@ val assert_clause : t -> int list -> unit
     modified. *)
 val assert_clause_slice : t -> int array -> int -> int -> unit
 
-(** Seed branching activity from a clause (Jeroslow-Wang-ish weights);
-    call before {!assert_clause} when building a solver incrementally. *)
-val seed_clause : t -> int list -> unit
-
-(** {!seed_clause} for an arena slice. *)
+(** Seed branching activity from the clause stored as the arena slice
+    [buf.[off..off+len)] (Jeroslow-Wang-ish weights); call before
+    {!assert_clause_slice} when building a solver incrementally. *)
 val seed_clause_slice : t -> int array -> int -> int -> unit
 
 (** [set_base s lits] makes [lits] the persistent assumptions every
@@ -54,18 +66,26 @@ val set_base : t -> int list -> unit
     assumption literals. Learned clauses persist; assumptions do not.
     With a [budget], the CDCL loop checkpoints between
     propagation/decision rounds (debiting fuel by propagations +
-    conflicts) and may raise {!Budget.Exhausted}; the solver remains
-    consistent and reusable after such a trip. *)
+    conflicts), a repair checkpoints once per flip (debiting the
+    literals it visited), and either may raise {!Budget.Exhausted}; the
+    solver and its kept model remain consistent and reusable after such
+    a trip. *)
 val solve_assuming : ?budget:Budget.t -> t -> int list -> result
 
 (** {!solve_assuming} without materializing the model — for callers
     that only need the verdict, or read the model with {!model_bits}. *)
 val sat_assuming : ?budget:Budget.t -> t -> int list -> bool
 
-(** The model of the last satisfying verdict as a bitmap (bit [v-1]
-    holds variable [v]). Only meaningful directly after {!sat_assuming}
-    returned [true], before any other call on the solver. *)
+(** A copy of the kept model as a bitmap (bit [v-1] holds variable
+    [v]): the model of the last satisfying verdict. Only meaningful
+    directly after {!sat_assuming} returned [true], before any other
+    call on the solver. *)
 val model_bits : t -> Bytes.t
+
+(** The kept model satisfies every clause it is recorded to satisfy
+    (vacuously, before any satisfying verdict): the invariant a repair
+    starts from, checked in full. For tests. *)
+val kept_model_holds : t -> bool
 
 (** [bit m v]: variable [v] in a {!model_bits} bitmap. Variables past
     the bitmap's end — admitted after the solve — read [false]. *)

@@ -19,7 +19,9 @@ module SMap = Logic.Names.SMap
    Every satisfying verdict's model is kept as the session's witness,
    as a bitmap: existential-free CQs are checked on its fact-variable
    bits, and the witness instance is read off the bits only for CQs
-   with existential variables and for callers that want a model.
+   with existential variables and for callers that want a model. The
+   solver keeps that model too and repairs it before searching, so a
+   solve after an update usually makes no decision (Dpll's header).
 
    Budgets: every operation accepts a [?budget] and installs it on the
    session's grounder and solver for the duration of the call. A trip
@@ -478,6 +480,8 @@ let retract_facts ?(budget = Budget.unlimited) t facts =
           delta_metric ~by:(List.length present) "engine.delta.retracts";
           `Delta
         end)
+
+let kept_model_holds t = Dpll.kept_model_holds t.solver
 
 (* ------------------------------------------------------------------ *)
 (* The session cache                                                    *)

@@ -139,6 +139,10 @@ val retract_facts :
   Structure.Instance.fact list ->
   [ `Delta | `Needs_rebuild ]
 
+(** The solver's kept model satisfies every clause it is recorded to
+    satisfy ({!Dpll.kept_model_holds}). For tests. *)
+val kept_model_holds : t -> bool
+
 (** {2 The session cache}
 
     The registry is domain-local: an engine holds single-writer solver

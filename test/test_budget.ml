@@ -84,10 +84,26 @@ let test_inject_everywhere () =
       expected after
   done
 
+(* Budget trips that landed inside a repair of the kept model: a
+   [dpll.solve] span closed by the trip that carries the repair's
+   [flips] attribute (a completed solve adds it on the normal path, a
+   trip only from inside the repair). *)
+let trips_in_repair = ref 0
+
+let count_trips_in_repair trace =
+  List.iter
+    (fun (sp : Obs.Trace.span) ->
+      if
+        sp.name = "dpll.solve" && sp.status <> None
+        && List.mem_assoc "flips" sp.attrs
+      then incr trips_in_repair)
+    (Obs.Trace.spans trace)
+
 (* The same sweep on an updatable session after an insert: the insert
-   replaces the solver's base, so trips land inside the base replant
-   and inside solves running over the planted base. After every trip
-   the same session, unbudgeted, must answer like the oracle. *)
+   replaces the solver's base, so trips land inside the base replant,
+   inside solves running over the planted base and inside the repair
+   of the kept model that answers the post-update eval. After every
+   trip the same session, unbudgeted, must answer like the oracle. *)
 let sweep_updatable omq d inserted =
   let d1 = Structure.Instance.add_fact inserted d in
   let expected =
@@ -108,7 +124,12 @@ let sweep_updatable omq d inserted =
   check Alcotest.bool "updated session passes checkpoints" true (n > 0);
   for i = 0 to n - 1 do
     let s = updated () in
-    (match Omq.Session.certain_answers_within (Budget.inject_after i) s with
+    let outcome, trace =
+      Obs.Trace.collect (fun () ->
+          Omq.Session.certain_answers_within (Budget.inject_after i) s)
+    in
+    count_trips_in_repair trace;
+    (match outcome with
     | `Ok a -> check answers (Printf.sprintf "inject %d completed" i) expected a
     | `Timeout _ -> Alcotest.failf "inject %d tripped with Timeout" i
     | `Out_of_fuel p ->
@@ -122,14 +143,78 @@ let sweep_updatable omq d inserted =
       (Omq.Session.certain_answers s)
   done
 
+(* The sweep seen from the solver: a dynamic engine answers every
+   tuple, takes the insert (or the retraction), then answers again
+   under the injected budget. After each trip the kept model must still
+   satisfy every clause it is recorded to satisfy — a repair cut short
+   undoes its flips — and the same engine, unbudgeted, must give a
+   fresh engine's verdicts on the updated instance. *)
+let sweep_engine omq d update =
+  let o = omq.Omq.ontology and q = omq.Omq.query in
+  let d1 =
+    match update with
+    | `Insert f -> Structure.Instance.add_fact f d
+    | `Retract f -> Structure.Instance.remove_fact f d
+  in
+  let tuples = List.map (fun x -> [ x ]) (Structure.Instance.domain_list d) in
+  let verdicts ?budget eng =
+    List.map (fun t -> Reasoner.Engine.certain ?budget eng q t) tuples
+  in
+  let expected = verdicts (Reasoner.Engine.create ~extra:1 o d1) in
+  let updated () =
+    let eng = Reasoner.Engine.create ~dynamic:true ~extra:1 o d in
+    ignore (verdicts eng);
+    let delta =
+      match update with
+      | `Insert f -> Reasoner.Engine.insert_facts eng [ f ]
+      | `Retract f -> Reasoner.Engine.retract_facts eng [ f ]
+    in
+    if delta <> `Delta then Alcotest.fail "in-domain update rebuilt";
+    eng
+  in
+  let obs = Budget.observer () in
+  ignore (verdicts ~budget:obs (updated ()));
+  let n = Budget.checkpoints obs in
+  check Alcotest.bool "updated engine passes checkpoints" true (n > 0);
+  for i = 0 to n - 1 do
+    let eng = updated () in
+    let outcome, trace =
+      Obs.Trace.collect (fun () ->
+          match verdicts ~budget:(Budget.inject_after i) eng with
+          | v -> Some v
+          | exception Budget.Exhausted _ -> None)
+    in
+    count_trips_in_repair trace;
+    Option.iter
+      (check Alcotest.(list bool) (Printf.sprintf "inject %d completed" i) expected)
+      outcome;
+    check Alcotest.bool
+      (Printf.sprintf "inject %d: kept model holds" i)
+      true
+      (Reasoner.Engine.kept_model_holds eng);
+    check
+      Alcotest.(list bool)
+      (Printf.sprintf "inject %d: unbudgeted rerun matches a fresh engine" i)
+      expected (verdicts eng);
+    check Alcotest.bool
+      (Printf.sprintf "inject %d: kept model holds after the rerun" i)
+      true
+      (Reasoner.Engine.kept_model_holds eng)
+  done
+
 let test_inject_everywhere_updatable () =
-  sweep_updatable omq_disj d_disj (Structure.Instance.fact "D" [ e "c" ]);
+  trips_in_repair := 0;
+  let dc = Structure.Instance.fact "D" [ e "c" ] in
+  sweep_updatable omq_disj d_disj dc;
   (* R(x,y) ∧ B(y) → C(x) watches two base literals at once: C(a) is
      certain only if a replant interrupted by a trip is propagated on *)
-  sweep_updatable
-    (Omq.make o_horn (Query.Parse.ucq_of_string "q(x) <- C(x)"))
-    (inst [ ("A", [ "a" ]); ("R", [ "a"; "b" ]) ])
-    (Structure.Instance.fact "B" [ e "b" ])
+  let omq_horn = Omq.make o_horn (Query.Parse.ucq_of_string "q(x) <- C(x)") in
+  let d_horn = inst [ ("A", [ "a" ]); ("R", [ "a"; "b" ]) ] in
+  sweep_updatable omq_horn d_horn (Structure.Instance.fact "B" [ e "b" ]);
+  sweep_engine omq_disj d_disj (`Insert dc);
+  sweep_engine omq_disj (Structure.Instance.add_fact dc d_disj) (`Retract dc);
+  sweep_engine omq_horn d_horn (`Insert (Structure.Instance.fact "B" [ e "b" ]));
+  check Alcotest.bool "trips landed inside a repair" true (!trips_in_repair > 0)
 
 let test_inject_timeout_reason () =
   Reasoner.Engine.clear_cache ();

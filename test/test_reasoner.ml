@@ -63,14 +63,17 @@ let test_dpll_vs_brute =
    the assumptions as unit clauses, and every model must satisfy all
    three. The solver's trace attributes tell which paths a solve took:
    [base_conflict] marks a conflict at level 1, [base_plants] > 1 a
-   learned clause that backjumped to level 0 and dropped the base. *)
+   learned clause that backjumped to level 0 and dropped the base.
+   Sequences run up to 48 steps over up to 16 variables: most
+   satisfiable solves are answered by repairing the kept model, so it
+   takes that many for CDCL to still learn units that drop the base. *)
 let base_conflicts = ref 0
 let base_replants = ref 0
 
 let dpll_base_sequence =
   QCheck.Test.make ~name:"persistent base agrees with one-shot solves"
     ~count:400
-    QCheck.(pair (int_bound 100000) (int_range 3 9))
+    QCheck.(pair (int_bound 100000) (int_range 3 16))
     (fun (seed, nvars) ->
       let module D = Reasoner.Dpll in
       let rng = Random.State.make [| seed |] in
@@ -89,7 +92,7 @@ let dpll_base_sequence =
         add (lits (2 + Random.State.int rng 2))
       done;
       let ok = ref true in
-      for _ = 1 to 8 + Random.State.int rng 12 do
+      for _ = 1 to 8 + Random.State.int rng 40 do
         match Random.State.int rng 6 with
         | 0 ->
             base := lits (Random.State.int rng (1 + (nvars / 2)));
@@ -133,6 +136,106 @@ let test_dpll_base () =
   QCheck.Test.check_exn ~rand:(Random.State.make [| 17 |]) dpll_base_sequence;
   check "level-1 conflicts covered" true (!base_conflicts > 0);
   check "learned units dropping the base covered" true (!base_replants > 0)
+
+(* The kept model and its repair, on one solver driven through random
+   sequences of clause additions, base replacements, variable growth
+   and assumption solves. Every verdict must equal a fresh one-shot
+   solve of the clauses with the base and the assumptions as unit
+   clauses; every model, the [Sat] array and the [model_bits] bitmap
+   alike, must satisfy all three; and the kept model must satisfy every
+   clause it is recorded to satisfy after each step. The trace tells
+   which path a solve took: [repaired] on its span when the repair
+   answered, a [dpll.repair_fallback] event naming the reason when it
+   gave up. Clauses of three literals at about the 3-SAT threshold make
+   all three paths common. *)
+let repairs = ref 0
+let fallbacks_fixed = ref 0
+let fallbacks_bound = ref 0
+
+let dpll_repair_sequence =
+  QCheck.Test.make ~name:"kept-model repair agrees with one-shot solves"
+    ~count:300
+    QCheck.(pair (int_bound 100000) (int_range 4 48))
+    (fun (seed, nvars0) ->
+      let module D = Reasoner.Dpll in
+      let rng = Random.State.make [| seed |] in
+      let nvars = ref nvars0 in
+      let lit () =
+        let v = 1 + Random.State.int rng !nvars in
+        if Random.State.bool rng then v else -v
+      in
+      let lits n = List.init n (fun _ -> lit ()) in
+      let s = D.make ~nvars:!nvars in
+      let clauses = ref [] and base = ref [] in
+      let add c =
+        clauses := c :: !clauses;
+        D.assert_clause s c
+      in
+      for _ = 1 to (3 * !nvars) + Random.State.int rng (2 * !nvars) do
+        add (lits 3)
+      done;
+      let ok = ref true in
+      for _ = 1 to 10 + Random.State.int rng 20 do
+        match Random.State.int rng 8 with
+        | 0 ->
+            base := lits (Random.State.int rng (1 + (!nvars / 4)));
+            D.set_base s !base
+        | 1 -> add (lits (1 + Random.State.int rng 3))
+        | 2 ->
+            nvars := !nvars + 1 + Random.State.int rng 3;
+            D.ensure_nvars s !nvars
+        | k ->
+            let assumptions = lits (Random.State.int rng 4) in
+            let model, trace =
+              Obs.Trace.collect (fun () ->
+                  if k mod 2 = 0 then
+                    match D.solve_assuming s assumptions with
+                    | D.Sat m -> Some (Some m)
+                    | D.Unsat -> None
+                  else if D.sat_assuming s assumptions then Some None
+                  else None)
+            in
+            let bits = Option.map (fun _ -> D.model_bits s) model in
+            List.iter
+              (fun (sp : Obs.Trace.span) ->
+                if List.mem ("repaired", Obs.Trace.Bool true) sp.attrs then
+                  incr repairs)
+              (Obs.Trace.spans trace);
+            List.iter
+              (fun (ev : Obs.Trace.event) ->
+                match List.assoc_opt "reason" ev.eattrs with
+                | Some (Obs.Trace.Str "fixed") -> incr fallbacks_fixed
+                | Some (Obs.Trace.Str "bound") -> incr fallbacks_bound
+                | _ -> ())
+              (Obs.Trace.events trace);
+            let all = List.map (fun l -> [ l ]) (!base @ assumptions) @ !clauses in
+            let expected =
+              match D.solve ~nvars:!nvars all with D.Sat _ -> true | D.Unsat -> false
+            in
+            let satisfies truth = List.for_all (List.exists truth) all in
+            let model_ok =
+              match (model, bits) with
+              | None, _ -> not expected
+              | Some m, Some b ->
+                  expected
+                  && satisfies (fun l -> D.bit b (abs l) = (l > 0))
+                  && (match m with
+                     | Some m -> satisfies (D.lit_true m)
+                     | None -> true)
+              | Some _, None -> false
+            in
+            ok := !ok && model_ok && D.kept_model_holds s
+      done;
+      !ok)
+
+let test_dpll_repair () =
+  repairs := 0;
+  fallbacks_fixed := 0;
+  fallbacks_bound := 0;
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 23 |]) dpll_repair_sequence;
+  check "answered by repair covered" true (!repairs > 0);
+  check "fallback on an all-fixed clause covered" true (!fallbacks_fixed > 0);
+  check "fallback on the work bound covered" true (!fallbacks_bound > 0)
 
 let test_dpll_model_bits () =
   let module D = Reasoner.Dpll in
@@ -303,6 +406,7 @@ let suite =
     Alcotest.test_case "dpll_enumerate" `Quick test_dpll_enumerate;
     QCheck_alcotest.to_alcotest test_dpll_vs_brute;
     Alcotest.test_case "dpll persistent base" `Quick test_dpll_base;
+    Alcotest.test_case "dpll kept-model repair" `Quick test_dpll_repair;
     Alcotest.test_case "dpll model bits" `Quick test_dpll_model_bits;
     Alcotest.test_case "consistency" `Quick test_consistency;
     Alcotest.test_case "certain_disjunctive" `Quick test_certain_disjunctive;
